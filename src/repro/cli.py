@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trials per shard (default %d)"
                           % DEFAULT_SHARD_SIZE)
     rel.add_argument("--checkpoint", metavar="FILE", default=None,
-                     help="JSON checkpoint of completed shards")
+                     help="append-only JSONL checkpoint of completed shards")
     rel.add_argument("--resume", action="store_true",
                      help="resume from --checkpoint if it exists")
     rel.add_argument("--time-budget", type=float, default=None, metavar="S",
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trials per shard (default %d)"
                              % DEFAULT_REPLAY_SHARD_SIZE)
     replay.add_argument("--checkpoint", metavar="FILE", default=None,
-                        help="JSON checkpoint of completed shards")
+                        help="append-only JSONL checkpoint of completed shards")
     replay.add_argument("--resume", action="store_true",
                         help="resume from --checkpoint if it exists")
     replay.add_argument("--telemetry", action="store_true",

@@ -11,11 +11,14 @@ no pool) and ``workers=8`` produce byte-identical aggregates.
 
 Robustness features for long campaigns:
 
-* **Checkpointing** — completed shards are appended to a JSON checkpoint
-  (atomic rename) every ``checkpoint_every`` completions; a killed
-  campaign resumes with ``resume=True`` and re-runs only missing shards.
-  A fingerprint of the shard plan guards against resuming someone else's
-  checkpoint (:class:`~repro.errors.CheckpointError`).
+* **Checkpointing** — the checkpoint is an append-only JSON Lines
+  segment (:class:`~repro.telemetry.files.JsonlSegment`): a fingerprint
+  header line, then one ``{"index", "shard"}`` line appended per
+  completed shard, so checkpointing costs O(1) per shard.  A killed
+  campaign resumes with ``resume=True`` and re-runs only missing shards;
+  a torn final line is dropped on resume.  The fingerprint of the shard
+  plan guards against resuming someone else's checkpoint
+  (:class:`~repro.errors.CheckpointError`).
 * **Wall-clock budget** — ``time_budget_s`` stops dispatching new shards
   once exceeded; completed shards are merged into an accurate partial
   result.
@@ -30,7 +33,8 @@ Robustness features for long campaigns:
   campaign once the failure-probability confidence interval over the
   *contiguous shard prefix* is tight enough.  Evaluating the rule on the
   prefix (never on whichever shards happened to finish first) keeps the
-  stopped result deterministic across worker counts.
+  stopped result deterministic across worker counts.  The prefix is
+  merged incrementally, so each shard is folded in and checked once.
 
 Observability (all opt-in, none of it feeds back into the simulation):
 
@@ -50,7 +54,6 @@ Observability (all opt-in, none of it feeds back into the simulation):
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -69,6 +72,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -81,6 +85,7 @@ from repro.reliability.results import ReliabilityResult
 from repro.reliability.stopping import StoppingRule
 from repro.rng import derive_seed
 from repro.stack.geometry import StackGeometry
+from repro.telemetry.files import JsonlSegment
 from repro.telemetry.manifest import RunManifest, schemes_registry_hash
 from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.registry import MetricsRegistry
@@ -94,8 +99,10 @@ from repro.telemetry.tracing import TraceWriter
 #: run-provenance ``manifest`` sidecar; v6: ``EngineConfig`` grew
 #: ``thermal_bank_fit`` (the replay engine's thermal-FIT feedback);
 #: v7: ``EngineConfig`` grew ``batch_trials`` (the vectorized trial
-#: kernel toggle).
-CHECKPOINT_VERSION = 7
+#: kernel toggle); v8: the whole-table JSON checkpoint became an
+#: append-only JSON Lines segment (fingerprint header, one line per
+#: shard).
+CHECKPOINT_VERSION = 8
 
 #: Bucket edges (seconds) of the wall-clock shard-latency histogram kept
 #: in ``last_campaign_metrics`` (volatile: never merged into results).
@@ -141,6 +148,49 @@ def shard_plan(trials: int, shard_size: int, root_seed: int) -> List[ShardSpec]:
         )
         done += size
     return shards
+
+
+@dataclass(frozen=True)
+class ShardCheckpoint:
+    """A campaign checkpoint: a :class:`JsonlSegment` whose header is the
+    campaign fingerprint, then one ``{"index", "shard"}`` record per
+    completed shard."""
+
+    segment: JsonlSegment
+
+    def append(self, index: int, shard: Dict[str, Any]) -> None:
+        """Record one completed shard (its result dict, as serialized)."""
+        self.segment.append([{"index": index, "shard": shard}])
+
+
+_Shard = TypeVar("_Shard")
+
+
+def open_checkpoint(
+    path: Optional[Path],
+    fingerprint: Dict[str, Any],
+    resume: bool,
+    from_dict: Callable[[Dict[str, Any]], _Shard],
+) -> Tuple[Optional[ShardCheckpoint], Dict[int, _Shard]]:
+    """Open a campaign's checkpoint and load the shards it holds.
+
+    Returns ``(None, {})`` without a path.  Without ``resume`` a fresh
+    checkpoint replaces any file at ``path``.
+    """
+    if path is None:
+        return None, {}
+    if not resume:
+        return ShardCheckpoint(JsonlSegment.create(path, fingerprint)), {}
+    segment, records = JsonlSegment.reopen(path, fingerprint)
+    try:
+        return ShardCheckpoint(segment), {
+            int(record["index"]): from_dict(record["shard"])
+            for record in records
+        }
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(
+            f"malformed shard record in checkpoint {path}: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -218,6 +268,19 @@ class CampaignReport:
         )
 
 
+@dataclass
+class _StopPrefix:
+    """Running left fold of the contiguous completed-shard prefix.
+
+    ``merged`` covers shards ``0 .. next_index - 1``; ``stop`` is the
+    first index at which a stopping rule held, once one has.
+    """
+
+    merged: ReliabilityResult = field(default_factory=ReliabilityResult.identity)
+    next_index: int = 0
+    stop: Optional[int] = None
+
+
 @dataclass(frozen=True)
 class _ShardTask:
     """Everything a worker process needs to run one shard."""
@@ -285,7 +348,6 @@ class ParallelLifetimeRunner:
         workers: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
         checkpoint_path: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 1,
         resume: bool = False,
         time_budget_s: Optional[float] = None,
         early_stop: Optional[EarlyStopPolicy] = None,
@@ -303,11 +365,6 @@ class ParallelLifetimeRunner:
             shard_size > 0, "shard_size must be positive, got %r", shard_size
         )
         contracts.require(
-            checkpoint_every >= 1,
-            "checkpoint_every must be >= 1, got %r",
-            checkpoint_every,
-        )
-        contracts.require(
             time_budget_s is None or time_budget_s > 0,
             "time_budget_s must be positive, got %r",
             time_budget_s,
@@ -322,7 +379,6 @@ class ParallelLifetimeRunner:
         self.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
         )
-        self.checkpoint_every = checkpoint_every
         self.resume = resume
         self.time_budget_s = time_budget_s
         self.early_stop = early_stop
@@ -354,6 +410,9 @@ class ParallelLifetimeRunner:
         self._tracer: Optional[TraceWriter] = None
         self._campaign: Optional[MetricsRegistry] = None
         self._active_stopping: Optional[StoppingRule] = None
+        self._checkpoint: Optional[ShardCheckpoint] = None
+        self._prefix = _StopPrefix()
+        self._trials_done = 0
 
     # ------------------------------------------------------------------ #
     def run(
@@ -386,10 +445,15 @@ class ParallelLifetimeRunner:
         report = CampaignReport(planned_shards=len(shards))
         fingerprint = self._fingerprint(trials, resolved_min, resolved_label)
 
-        completed: Dict[int, ReliabilityResult] = {}
-        if self.resume and self.checkpoint_path is not None:
-            completed = self._load_checkpoint(fingerprint)
-            report.resumed_shards = len(completed)
+        self._checkpoint, completed = open_checkpoint(
+            self.checkpoint_path,
+            fingerprint,
+            self.resume,
+            ReliabilityResult.from_dict,
+        )
+        report.resumed_shards = len(completed)
+        self._prefix = _StopPrefix()
+        self._trials_done = sum(r.trials for r in completed.values())
         pending = [s for s in shards if s.index not in completed]
 
         self._campaign = MetricsRegistry()
@@ -425,18 +489,16 @@ class ParallelLifetimeRunner:
             with campaign_span:
                 try:
                     if self.workers == 1:
-                        self._run_serial(pending, completed, report, fingerprint,
+                        self._run_serial(pending, completed, report,
                                          resolved_min, resolved_label, started)
                     else:
-                        self._run_pool(pending, completed, report, fingerprint,
+                        self._run_pool(pending, completed, report,
                                        resolved_min, resolved_label, started)
                 except KeyboardInterrupt:
                     report.interrupted = True
         finally:
             if self._reporter is not None:
-                self._reporter.finish(
-                    len(completed), sum(r.trials for r in completed.values())
-                )
+                self._reporter.finish(len(completed), self._trials_done)
             if self._tracer is not None:
                 self._tracer.close()
             self._campaign.inc("campaign/shards_completed",
@@ -449,7 +511,7 @@ class ParallelLifetimeRunner:
             self._reporter = None
             self._tracer = None
             self._campaign = None
-        self._write_checkpoint(completed, fingerprint)
+            self._checkpoint = None
 
         merged = self._merge(shards, completed, report)
         if merged.is_identity:
@@ -520,13 +582,11 @@ class ParallelLifetimeRunner:
         pending: Sequence[ShardSpec],
         completed: Dict[int, ReliabilityResult],
         report: CampaignReport,
-        fingerprint: Dict[str, Any],
         min_faults: int,
         label: str,
         started: float,
     ) -> None:
         """``workers=1`` degenerate case: same shards, same merge, no pool."""
-        since_checkpoint = 0
         for spec in pending:
             if self._cancel_requested():
                 report.cancelled = True
@@ -553,15 +613,9 @@ class ParallelLifetimeRunner:
             except (RuntimeError, OSError):
                 report.failed_shards.append(spec.index)
                 continue
-            completed[index] = ReliabilityResult.from_dict(payload)
-            report.completed_shards += 1
-            self._observe_shard(seconds)
+            self._accept(completed, report, index, payload, seconds)
             self._emit_progress(completed)
-            since_checkpoint += 1
-            if since_checkpoint >= self.checkpoint_every:
-                self._write_checkpoint(completed, fingerprint)
-                since_checkpoint = 0
-            if self._stop_index(completed, report.failed_shards) is not None:
+            if self._stop_index(completed) is not None:
                 report.stopped_early = True
                 break
 
@@ -570,12 +624,10 @@ class ParallelLifetimeRunner:
         pending: Sequence[ShardSpec],
         completed: Dict[int, ReliabilityResult],
         report: CampaignReport,
-        fingerprint: Dict[str, Any],
         min_faults: int,
         label: str,
         started: float,
     ) -> None:
-        since_checkpoint = 0
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures: Dict[Future[Tuple[int, Dict[str, Any]]], ShardSpec] = {
                 pool.submit(_run_shard, self._task(spec, min_faults, label)): spec
@@ -597,9 +649,7 @@ class ParallelLifetimeRunner:
                         except Exception:
                             report.failed_shards.append(spec.index)
                             continue
-                        completed[index] = ReliabilityResult.from_dict(payload)
-                        report.completed_shards += 1
-                        self._observe_shard(seconds)
+                        self._accept(completed, report, index, payload, seconds)
                         self._emit_progress(completed)
                         if self._tracer is not None:
                             self._tracer.event(
@@ -608,10 +658,6 @@ class ParallelLifetimeRunner:
                                 trials=spec.trials,
                                 seconds=seconds,
                             )
-                        since_checkpoint += 1
-                        if since_checkpoint >= self.checkpoint_every:
-                            self._write_checkpoint(completed, fingerprint)
-                            since_checkpoint = 0
                     if report.pool_broken:
                         for future in list(futures):
                             future.cancel()
@@ -619,7 +665,7 @@ class ParallelLifetimeRunner:
                                 futures.pop(future).index
                             )
                         break
-                    if self._stop_index(completed, report.failed_shards) is not None:
+                    if self._stop_index(completed) is not None:
                         report.stopped_early = True
                         self._cancel_all(futures)
                         break
@@ -643,9 +689,7 @@ class ParallelLifetimeRunner:
                     except Exception:
                         report.failed_shards.append(spec.index)
                         continue
-                    completed[index] = ReliabilityResult.from_dict(payload)
-                    report.completed_shards += 1
-                    self._observe_shard(seconds)
+                    self._accept(completed, report, index, payload, seconds)
                 raise
 
     @staticmethod
@@ -668,6 +712,24 @@ class ParallelLifetimeRunner:
             crash=self.crash_injection,
         )
 
+    def _accept(
+        self,
+        completed: Dict[int, ReliabilityResult],
+        report: CampaignReport,
+        index: int,
+        payload: Dict[str, Any],
+        seconds: float,
+    ) -> None:
+        """Fold one finished shard into the campaign: checkpoint the
+        worker's result dict as is (no re-serialization), then keep it."""
+        if self._checkpoint is not None:
+            self._checkpoint.append(index, payload)
+        result = ReliabilityResult.from_dict(payload)
+        completed[index] = result
+        self._trials_done += result.trials
+        report.completed_shards += 1
+        self._observe_shard(seconds)
+
     def _observe_shard(self, seconds: float) -> None:
         """Record one shard's wall-clock latency (volatile campaign metrics)."""
         if self._campaign is None:
@@ -684,9 +746,7 @@ class ParallelLifetimeRunner:
         self, completed: Dict[int, ReliabilityResult]
     ) -> None:
         if self._reporter is not None:
-            self._reporter.update(
-                len(completed), sum(r.trials for r in completed.values())
-            )
+            self._reporter.update(len(completed), self._trials_done)
 
     def _cancel_requested(self) -> bool:
         return self.cancel_hook is not None and self.cancel_hook()
@@ -697,38 +757,36 @@ class ParallelLifetimeRunner:
             and time.monotonic() - started >= self.time_budget_s
         )
 
-    def _stop_index(
-        self,
-        completed: Dict[int, ReliabilityResult],
-        failed: Sequence[int],
-    ) -> Optional[int]:
+    def _stop_index(self, completed: Dict[int, ReliabilityResult]) -> Optional[int]:
         """Smallest shard index k such that the early-stop rule holds on
         the contiguous prefix 0..k — or None.
 
         Only contiguous prefixes are considered so the decision depends
-        on the shard plan, never on completion order; a failed shard
-        breaks the prefix and disables stopping past it.  Both the legacy
-        Wald-interval :class:`EarlyStopPolicy` and the anytime-valid
-        :class:`StoppingRule` are consulted; either may fire.
+        on the shard plan, never on completion order; a failed shard is
+        never completed, so it ends the prefix and disables stopping
+        past it.  Both the legacy Wald-interval :class:`EarlyStopPolicy`
+        and the anytime-valid :class:`StoppingRule` are consulted; either
+        may fire.  The prefix fold persists for the whole :meth:`run`, so
+        each shard is merged into it and checked exactly once, and the
+        decision is remembered once made.
         """
+        prefix = self._prefix
+        if prefix.stop is not None:
+            return prefix.stop
         rules = [
             rule
             for rule in (self.early_stop, self._active_stopping)
             if rule is not None
         ]
-        if not rules or not completed:
+        if not rules:
             return None
-        failed_set = set(failed)
-        prefix = ReliabilityResult.identity()
-        k = 0
-        while k in completed:
-            if k in failed_set:
-                return None
-            prefix = prefix.merge(completed[k])
-            if any(rule.satisfied(prefix) for rule in rules):
-                return k
-            k += 1
-        return None
+        while prefix.next_index in completed:
+            prefix.merged = prefix.merged.merge(completed[prefix.next_index])
+            prefix.next_index += 1
+            if any(rule.satisfied(prefix.merged) for rule in rules):
+                prefix.stop = prefix.next_index - 1
+                break
+        return prefix.stop
 
     def _merge(
         self,
@@ -736,13 +794,22 @@ class ParallelLifetimeRunner:
         completed: Dict[int, ReliabilityResult],
         report: CampaignReport,
     ) -> ReliabilityResult:
-        stop = self._stop_index(completed, report.failed_shards)
-        indices = sorted(completed)
+        """Left fold of the merged shards in index order.
+
+        The folded prefix is reused as is: it already is the fold of
+        shards ``0 .. next_index - 1``, the smallest completed indices.
+        """
+        stop = self._stop_index(completed)
         if stop is not None:
             report.stopped_early = True
-            indices = [i for i in indices if i <= stop]
-        report.merged_shards = len(indices)
-        return ReliabilityResult.merge_all(completed[i] for i in indices)
+            report.merged_shards = stop + 1
+            return self._prefix.merged
+        report.merged_shards = len(completed)
+        merged = self._prefix.merged
+        for index in sorted(completed):
+            if index >= self._prefix.next_index:
+                merged = merged.merge(completed[index])
+        return merged
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -770,50 +837,3 @@ class ParallelLifetimeRunner:
             "engine_config": engine_config,
             "rates_tsv_fit": self.rates.tsv_device_fit,
         }
-
-    def _write_checkpoint(
-        self,
-        completed: Dict[int, ReliabilityResult],
-        fingerprint: Dict[str, Any],
-    ) -> None:
-        if self.checkpoint_path is None:
-            return
-        payload = {
-            "fingerprint": fingerprint,
-            "shards": {
-                str(i): completed[i].to_dict() for i in sorted(completed)
-            },
-        }
-        tmp = self.checkpoint_path.with_suffix(
-            self.checkpoint_path.suffix + ".tmp"
-        )
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(payload, indent=1))
-        os.replace(tmp, self.checkpoint_path)
-
-    def _load_checkpoint(
-        self, fingerprint: Dict[str, Any]
-    ) -> Dict[int, ReliabilityResult]:
-        path = self.checkpoint_path
-        assert path is not None
-        if not path.exists():
-            return {}
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-        saved = payload.get("fingerprint")
-        if saved != fingerprint:
-            raise CheckpointError(
-                f"checkpoint {path} belongs to a different campaign: "
-                f"saved fingerprint {saved!r} != expected {fingerprint!r}"
-            )
-        try:
-            return {
-                int(index): ReliabilityResult.from_dict(shard)
-                for index, shard in payload["shards"].items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed shard table in checkpoint {path}: {exc}"
-            ) from exc

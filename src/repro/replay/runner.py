@@ -3,30 +3,31 @@
 Mirrors :class:`~repro.reliability.parallel.ParallelLifetimeRunner`:
 the shard plan is a pure function of ``(trials, shard_size, root_seed)``
 via :func:`~repro.reliability.parallel.shard_plan`, workers pull shards
-from a process pool, completed shards checkpoint atomically under a
-campaign fingerprint, and the final aggregate is the monoid fold of the
-shard results in index order — so workers-1 and workers-4 runs (and a
-checkpoint/resume run) produce byte-identical serialized results.
+from a process pool, each completed shard is appended as one line to an
+append-only checkpoint segment headed by the campaign fingerprint
+(:func:`~repro.reliability.parallel.open_checkpoint`), and the final
+aggregate is the monoid fold of the shard results in index order — so
+workers-1 and workers-4 runs (and a checkpoint/resume run) produce
+byte-identical serialized results.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro import contracts
-from repro.errors import CheckpointError
 from repro.faults.rates import FailureRates
 from repro.ecc.base import CorrectionModel
 from repro.perf.system import PerfConfig
 from repro.reliability.montecarlo import EngineConfig
 from repro.reliability.parallel import (
     CHECKPOINT_VERSION,
+    ShardCheckpoint,
     ShardSpec,
+    open_checkpoint,
     shard_plan,
 )
 from repro.replay.engine import ReplayConfig, ReplayEngine
@@ -134,17 +135,19 @@ class ReplayCampaignRunner:
         """Run (or resume) a ``trials``-trial campaign; returns the merge."""
         contracts.require(trials >= 0, "trials must be >= 0, got %r", trials)
         plan = shard_plan(trials, self.shard_size, self.root_seed)
-        fingerprint = self._fingerprint(trials)
-        completed: Dict[int, ReplayResult] = {}
-        if self.checkpoint_path is not None and self.resume:
-            completed = self._load_checkpoint(fingerprint)
+        checkpoint, completed = open_checkpoint(
+            self.checkpoint_path,
+            self._fingerprint(trials),
+            self.resume,
+            ReplayResult.from_dict,
+        )
         pending = [shard for shard in plan if shard.index not in completed]
         if not plan:
             return ReplayResult.identity()
         if self.workers == 1 or len(pending) <= 1:
-            self._run_serial(pending, completed, fingerprint)
+            self._run_serial(pending, completed, checkpoint)
         else:
-            self._run_pool(pending, completed, fingerprint)
+            self._run_pool(pending, completed, checkpoint)
         return ReplayResult.merge_all(
             completed[shard.index] for shard in plan
         )
@@ -164,22 +167,33 @@ class ReplayCampaignRunner:
             collect_metrics=self.collect_metrics,
         )
 
+    @staticmethod
+    def _accept(
+        completed: Dict[int, ReplayResult],
+        checkpoint: Optional[ShardCheckpoint],
+        index: int,
+        payload: Dict[str, Any],
+    ) -> None:
+        """Checkpoint the worker's result dict as is, then keep it."""
+        if checkpoint is not None:
+            checkpoint.append(index, payload)
+        completed[index] = ReplayResult.from_dict(payload)
+
     def _run_serial(
         self,
         pending,
         completed: Dict[int, ReplayResult],
-        fingerprint: Dict[str, Any],
+        checkpoint: Optional[ShardCheckpoint],
     ) -> None:
         for shard in pending:
             index, payload = _run_replay_shard(self._task(shard))
-            completed[index] = ReplayResult.from_dict(payload)
-            self._write_checkpoint(completed, fingerprint)
+            self._accept(completed, checkpoint, index, payload)
 
     def _run_pool(
         self,
         pending,
         completed: Dict[int, ReplayResult],
-        fingerprint: Dict[str, Any],
+        checkpoint: Optional[ShardCheckpoint],
     ) -> None:
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures = {
@@ -193,11 +207,10 @@ class ReplayCampaignRunner:
                 )
                 for future in done:
                     index, payload = future.result()
-                    completed[index] = ReplayResult.from_dict(payload)
-                self._write_checkpoint(completed, fingerprint)
+                    self._accept(completed, checkpoint, index, payload)
 
     # ------------------------------------------------------------------ #
-    # Checkpointing (same discipline as the reliability runner)
+    # Checkpoint identity (same container as the reliability runner)
     # ------------------------------------------------------------------ #
     def _fingerprint(self, trials: int) -> Dict[str, Any]:
         engine_config = asdict(self.engine_config)
@@ -218,50 +231,3 @@ class ReplayCampaignRunner:
             "perf_label": self.engine.perf_config.label(),
             "rates_tsv_fit": self.rates.tsv_device_fit,
         }
-
-    def _write_checkpoint(
-        self,
-        completed: Dict[int, ReplayResult],
-        fingerprint: Dict[str, Any],
-    ) -> None:
-        if self.checkpoint_path is None:
-            return
-        payload = {
-            "fingerprint": fingerprint,
-            "shards": {
-                str(i): completed[i].to_dict() for i in sorted(completed)
-            },
-        }
-        tmp = self.checkpoint_path.with_suffix(
-            self.checkpoint_path.suffix + ".tmp"
-        )
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(payload, indent=1))
-        os.replace(tmp, self.checkpoint_path)
-
-    def _load_checkpoint(
-        self, fingerprint: Dict[str, Any]
-    ) -> Dict[int, ReplayResult]:
-        path = self.checkpoint_path
-        assert path is not None
-        if not path.exists():
-            return {}
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-        saved = payload.get("fingerprint")
-        if saved != fingerprint:
-            raise CheckpointError(
-                f"checkpoint {path} belongs to a different replay campaign: "
-                f"saved fingerprint {saved!r} != expected {fingerprint!r}"
-            )
-        try:
-            return {
-                int(index): ReplayResult.from_dict(shard)
-                for index, shard in payload["shards"].items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed shard table in checkpoint {path}: {exc}"
-            ) from exc

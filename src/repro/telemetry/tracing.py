@@ -18,9 +18,12 @@ the file, so callers gate them on :meth:`TraceWriter.should_sample` —
 a *deterministic* modulo rule (never an RNG draw, which would perturb
 the simulation's random stream and break REPRO001 determinism).
 
-Flushing rewrites the whole buffer through an atomic rename (the same
-discipline as campaign checkpoints), so a concurrent reader never sees
-a torn trace.
+The file is an append-only :class:`~repro.telemetry.files.JsonlSegment`
+(the same container as campaign checkpoints): the first flush writes
+the meta record as the header through an atomic rename, and every
+later flush appends only the records buffered since the previous one.
+Each record is serialized exactly once, so a trace of *n* records costs
+O(*n*) no matter how often it is flushed.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro import contracts
 from repro.errors import TelemetryError
-from repro.telemetry.files import atomic_write_text
+from repro.telemetry.files import JsonlSegment
 from repro.telemetry.registry import monotonic_s
 
 TRACE_SCHEMA_VERSION = 1
@@ -113,7 +116,10 @@ class TraceWriter:
         self._epoch = monotonic_s()
         self._lock = threading.RLock()
         self._scopes: List[str] = []
+        #: Records emitted since the last flush (the first is the meta
+        #: record, which becomes the segment header).
         self._records: List[Dict[str, Any]] = []
+        self._segment: Optional[JsonlSegment] = None
         self._closed = False
         self._record(
             TraceRecord(
@@ -194,12 +200,13 @@ class TraceWriter:
 
     # ------------------------------------------------------------------ #
     def flush(self) -> None:
-        """Atomically persist every record emitted so far."""
+        """Append the records buffered since the last flush, then drop them."""
         with self._lock:
-            lines = [
-                json.dumps(record, sort_keys=True) for record in self._records
-            ]
-        atomic_write_text(self.path, "\n".join(lines) + "\n" if lines else "")
+            records, self._records = self._records, []
+            if self._segment is None:
+                self._segment = JsonlSegment.create(self.path, records[0])
+                records = records[1:]
+            self._segment.append(records)
 
     def close(self) -> None:
         with self._lock:

@@ -156,12 +156,23 @@ class TestCheckpointResume:
             ).run(trials=TRIALS)
 
     def test_checkpoint_is_valid_json_shard_table(self, geometry, tmp_path):
+        """The checkpoint is a JSONL segment: the campaign fingerprint as
+        the header line, then one ``{"index", "shard"}`` record per
+        completed shard."""
         cp = tmp_path / "cp.json"
-        make_runner(geometry, workers=1, checkpoint_path=cp).run(trials=TRIALS)
-        payload = json.loads(cp.read_text())
-        assert sorted(payload["shards"]) == ["0", "1", "2", "3"]
-        shard0 = ReliabilityResult.from_dict(payload["shards"]["0"])
-        assert shard0.trials == SHARD
+        runner = make_runner(geometry, workers=1, checkpoint_path=cp)
+        runner.run(trials=TRIALS)
+        text = cp.read_text()
+        assert text.endswith("\n")
+        header, *records = [json.loads(line) for line in text.splitlines()]
+        assert header["version"] == parallel_mod.CHECKPOINT_VERSION
+        assert header["root_seed"] == 42 and header["trials"] == TRIALS
+        assert [sorted(record) for record in records] == [
+            ["index", "shard"]
+        ] * 4
+        assert sorted(record["index"] for record in records) == [0, 1, 2, 3]
+        shard0 = next(r["shard"] for r in records if r["index"] == 0)
+        assert ReliabilityResult.from_dict(shard0).trials == SHARD
 
 
 class TestFaultTolerance:
@@ -350,10 +361,6 @@ class TestValidation:
     def test_bad_worker_count_rejected(self, geometry):
         with pytest.raises(ContractViolation):
             make_runner(geometry, workers=0)
-
-    def test_bad_checkpoint_interval_rejected(self, geometry):
-        with pytest.raises(ContractViolation):
-            make_runner(geometry, workers=1, checkpoint_every=0)
 
 
 class TestCancelHook:

@@ -180,6 +180,27 @@ class TestRepro008:
         assert "Thing.to_dict" in findings[0].message
         assert "leak.jitter" in findings[0].message  # chain is reported
 
+    def test_sink_raising_a_plain_exception_class_is_clean(self, tmp_path):
+        """A sink whose call path constructs a class without its own
+        ``__init__`` (an exception) is scanned without crashing."""
+        write_tree(
+            tmp_path,
+            {
+                "src/repro/errs.py": "class BadCheckpoint(Exception):\n    pass\n",
+                "src/repro/seg.py": (
+                    "from repro.errs import BadCheckpoint\n"
+                    "def helper(ok):\n"
+                    "    if not ok:\n"
+                    "        raise BadCheckpoint('torn')\n"
+                    "    return ok\n"
+                    "class Shard:\n"
+                    "    def to_dict(self):\n"
+                    "        return {'ok': helper(True)}\n"
+                ),
+            },
+        )
+        assert lint_tree(tmp_path, ["REPRO008"]) == []
+
     def test_wall_clock_in_checkpoint_writer_flagged(self, tmp_path):
         write_tree(
             tmp_path,
@@ -684,8 +705,8 @@ class TestRepro010:
 
 class TestProjectLockfileCurrent:
     """The checked-in lockfile must reflect the current schema surface:
-    CHECKPOINT_VERSION 7 (batch_trials) plus the sampling,
-    run-provenance, replay, and batch schema growth."""
+    CHECKPOINT_VERSION 8 (append-only checkpoint segments) plus the
+    sampling, run-provenance, replay, and batch schema growth."""
 
     LOCKFILE = (
         Path(__file__).resolve().parent.parent
@@ -694,9 +715,9 @@ class TestProjectLockfileCurrent:
         / "schema_lock.json"
     )
 
-    def test_lockfile_records_checkpoint_version_7(self):
+    def test_lockfile_records_checkpoint_version_8(self):
         locked = json.loads(self.LOCKFILE.read_text())
-        assert locked["checkpoint_version"] == 7
+        assert locked["checkpoint_version"] == 8
 
     def test_lockfile_covers_batch_schema_surface(self):
         locked = json.loads(self.LOCKFILE.read_text())

@@ -8,6 +8,7 @@ worker pool — these are genuine concurrency tests, kept fast by
 zero-backoff retries and event-gated stub executors.
 """
 
+import json
 import threading
 
 import pytest
@@ -456,5 +457,37 @@ class TestScheduling:
             assert snapshot["gauges"]["service/queue_depth"] == 0.0
             assert "service/job_seconds" in snapshot["histograms"]
             assert snapshot["counters"]["service/jobs_submitted"] == 1
+        finally:
+            scheduler.shutdown()
+
+
+class TestWipCheckpoints:
+    """The real executor resumes from ``<store>/wip/``; a checkpoint in
+    the pre-segment whole-table format must fail the job cleanly."""
+
+    def test_whole_table_v7_checkpoint_fails_job_cleanly(self, store):
+        spec = make_spec(seed=3, trials=40, shard_size=20)
+        wip = store.root / "wip"
+        wip.mkdir(parents=True, exist_ok=True)
+        stale = wip / f"{spec.spec_hash()}.ckpt.json"
+        stale.write_text(
+            json.dumps({"fingerprint": {"version": 7}, "shards": {}}, indent=1)
+        )
+        scheduler = make_scheduler(store, None, slots=1).start()
+        try:
+            job = scheduler.submit(spec, max_retries=1)
+            wait_terminal(scheduler, job)
+            assert job.state is JobState.FAILED
+            assert job.attempts == 2
+            assert "unreadable checkpoint" in job.error
+            assert not store.contains(spec)
+            # The worker survived: once the stale file is gone the same
+            # spec runs to completion on the same scheduler.
+            stale.unlink()
+            retry = scheduler.submit(spec)
+            wait_terminal(scheduler, retry)
+            assert retry.state is JobState.DONE
+            assert store.contains(spec)
+            assert not stale.exists()
         finally:
             scheduler.shutdown()

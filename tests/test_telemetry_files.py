@@ -1,16 +1,26 @@
-"""Tests for the atomic file helpers.
+"""Tests for the atomic file helpers and the append-only JSONL segment.
 
-The load-bearing property is concurrent-writer safety: every writer
-renames its own ``mkstemp`` file, so a reader polling the target during
-a storm of simultaneous writes must only ever observe one writer's
-complete output — never a torn interleaving, never a missing file once
-the first write has landed.
+The load-bearing property of :func:`atomic_write_text` is
+concurrent-writer safety: every writer renames its own ``mkstemp``
+file, so a reader polling the target during a storm of simultaneous
+writes must only ever observe one writer's complete output — never a
+torn interleaving, never a missing file once the first write has landed.
+For :class:`JsonlSegment` it is the reopen contract: a torn final line
+is dropped and truncated away, anything else foreign is rejected.
 """
 
 import json
 import threading
 
-from repro.telemetry.files import atomic_write_text, write_json_atomic
+import pytest
+
+from repro.errors import CheckpointError
+from repro.telemetry.files import (
+    JsonlSegment,
+    atomic_write_text,
+    jsonl_line,
+    write_json_atomic,
+)
 
 
 class TestAtomicWriteText:
@@ -107,3 +117,88 @@ class TestWriteJsonAtomic:
         first = write_json_atomic(tmp_path / "a.json", payload).read_text()
         second = write_json_atomic(tmp_path / "b.json", payload).read_text()
         assert first == second
+
+
+HEADER = {"version": 8, "campaign": "demo"}
+
+
+class TestJsonlSegment:
+    def test_create_writes_header_line(self, tmp_path):
+        path = tmp_path / "seg.jsonl"
+        JsonlSegment.create(path, HEADER)
+        assert path.read_text() == jsonl_line(HEADER)
+
+    def test_append_writes_one_line_per_record(self, tmp_path):
+        path = tmp_path / "seg.jsonl"
+        segment = JsonlSegment.create(path, HEADER)
+        segment.append([{"i": 0}])
+        segment.append([{"i": 1}, {"i": 2}])
+        segment.append([])
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            HEADER, {"i": 0}, {"i": 1}, {"i": 2}
+        ]
+
+    def test_reopen_returns_records_and_appends_after_them(self, tmp_path):
+        path = tmp_path / "seg.jsonl"
+        JsonlSegment.create(path, HEADER).append([{"i": 0}, {"i": 1}])
+        segment, records = JsonlSegment.reopen(path, HEADER)
+        assert records == [{"i": 0}, {"i": 1}]
+        segment.append([{"i": 2}])
+        assert JsonlSegment.reopen(path, HEADER)[1] == [
+            {"i": 0}, {"i": 1}, {"i": 2}
+        ]
+
+    def test_reopen_missing_file_starts_fresh(self, tmp_path):
+        path = tmp_path / "absent.jsonl"
+        _, records = JsonlSegment.reopen(path, HEADER)
+        assert records == []
+        assert path.read_text() == jsonl_line(HEADER)
+
+    def test_torn_final_line_is_dropped_and_truncated(self, tmp_path):
+        path = tmp_path / "seg.jsonl"
+        JsonlSegment.create(path, HEADER).append([{"i": 0}])
+        intact = path.read_bytes()
+        path.write_bytes(intact + b'{"i": 1')
+        segment, records = JsonlSegment.reopen(path, HEADER)
+        assert records == [{"i": 0}]
+        assert path.read_bytes() == intact
+        segment.append([{"i": 1}])
+        assert JsonlSegment.reopen(path, HEADER)[1] == [{"i": 0}, {"i": 1}]
+
+    def test_complete_json_missing_its_newline_is_torn(self, tmp_path):
+        path = tmp_path / "seg.jsonl"
+        path.write_text(jsonl_line(HEADER) + json.dumps({"i": 0}))
+        assert JsonlSegment.reopen(path, HEADER)[1] == []
+        assert path.read_text() == jsonl_line(HEADER)
+
+    @pytest.mark.parametrize("cut", [0, 1, 10])
+    def test_torn_header_starts_fresh(self, tmp_path, cut):
+        path = tmp_path / "seg.jsonl"
+        path.write_text(jsonl_line(HEADER)[:cut])
+        assert JsonlSegment.reopen(path, HEADER)[1] == []
+        assert path.read_text() == jsonl_line(HEADER)
+
+    def test_foreign_text_without_newline_rejected(self, tmp_path):
+        path = tmp_path / "seg.jsonl"
+        path.write_text("{not json")
+        with pytest.raises(CheckpointError):
+            JsonlSegment.reopen(path, HEADER)
+
+    def test_header_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "seg.jsonl"
+        JsonlSegment.create(path, {**HEADER, "version": 7})
+        with pytest.raises(CheckpointError, match="different campaign"):
+            JsonlSegment.reopen(path, HEADER)
+
+    def test_corrupt_complete_line_rejected(self, tmp_path):
+        path = tmp_path / "seg.jsonl"
+        path.write_text(jsonl_line(HEADER) + '{"i": \n' + jsonl_line({"i": 1}))
+        with pytest.raises(CheckpointError, match=":2:"):
+            JsonlSegment.reopen(path, HEADER)
+
+    def test_non_object_record_rejected(self, tmp_path):
+        path = tmp_path / "seg.jsonl"
+        path.write_text(jsonl_line(HEADER) + "[1, 2]\n")
+        with pytest.raises(CheckpointError, match="not an object"):
+            JsonlSegment.reopen(path, HEADER)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import repro.telemetry.files as files_mod
 from repro.errors import TelemetryError
 from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.tracing import (
@@ -71,17 +72,40 @@ class TestTraceWriter:
         assert sampled == [0, 3, 6, 9]
         tracer.close()
 
-    def test_flush_rewrites_complete_file(self, tmp_path):
+    def test_flush_appends_new_records(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = TraceWriter(path, flush_every=1)
         tracer.event("a")
         first = read_trace(path)
         tracer.event("b")
         second = read_trace(path)
-        # Each flush atomically rewrites the whole record stream.
+        # Each flush appends only the records buffered since the last
+        # one, so the file always holds the complete stream so far.
         assert [r.name for r in first] == ["trace", "a"]
         assert [r.name for r in second] == ["trace", "a", "b"]
         tracer.close()
+
+    @pytest.mark.parametrize("flush_every", [1, 3, 1024])
+    def test_each_record_serialized_once(
+        self, tmp_path, monkeypatch, flush_every
+    ):
+        serialized = []
+        real = files_mod.jsonl_line
+
+        def counting(record):
+            serialized.append(record)
+            return real(record)
+
+        monkeypatch.setattr(files_mod, "jsonl_line", counting)
+        path = tmp_path / "trace.jsonl"
+        with TraceWriter(path, flush_every=flush_every) as tracer:
+            with tracer.span("campaign"):
+                for i in range(50):
+                    tracer.event("tick", i=i)
+            tracer.flush()
+        records = read_trace(path)
+        assert len(records) == 1 + 2 + 50
+        assert len(serialized) == len(records)
 
     def test_closed_writer_rejects_records(self, tmp_path):
         tracer = TraceWriter(tmp_path / "t.jsonl")

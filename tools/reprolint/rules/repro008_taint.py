@@ -44,6 +44,8 @@ SINK_NAMES = frozenset(
         "canonical_json",
         "spec_hash",
         "_write_checkpoint",
+        "open_checkpoint",
+        "jsonl_line",
         "write_json_atomic",
         "atomic_write_text",
     }
@@ -198,7 +200,9 @@ class DeterminismTaintChecker(ProjectChecker):
             [s.qualname for s in sinks]
         )
         for qualname in sorted(reachable):
-            fn = project.functions[qualname]
+            fn = project.functions.get(qualname)
+            if fn is None:  # a resolved class call with no ``__init__``
+                continue
             if fn.module.name in SANITIZER_MODULES:
                 continue
             if not self.applies_to(fn.ctx.relpath):
