@@ -7,6 +7,12 @@ fault sampling, striping, or shard/merge machinery that shifts any
 number — failure counts, failure times, stratum weights — fails these
 tests, so paper figures cannot drift silently.
 
+``perf_small.json`` likewise pins the performance simulator (five
+memory organizations x three benchmarks) and the replay engine (one
+shard, plus a campaign with thermal feedback off and on).  Those runs
+make no LLC evictions, so the fixture does not depend on how lines map
+to LLC sets.
+
 Legitimately intended changes are re-pinned with::
 
     PYTHONPATH=src python tools/regen_goldens.py
@@ -117,3 +123,20 @@ class TestGoldenFigures:
                 assert len(result.failure_times_hours) == result.failures
                 total_failures += result.failures
             assert total_failures > 0, name
+
+
+class TestGoldenPerf:
+    def test_perf_small_matches_golden(self, geometry):
+        from tools.regen_goldens import perf_small
+
+        golden = load("perf_small.json")
+        current = perf_small(geometry)  # asserts zero LLC evictions
+        for config_name, per_bench in golden["perf"].items():
+            for bench, expected in per_bench.items():
+                assert current["perf"][config_name][bench] == expected, (
+                    f"{config_name}/{bench}: PerfResult drifted from the "
+                    f"golden fixture"
+                )
+        assert current["replay_shard"] == golden["replay_shard"]
+        assert current["replay_campaigns"] == golden["replay_campaigns"]
+        assert current == golden
