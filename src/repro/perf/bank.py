@@ -37,11 +37,11 @@ class BankState:
         at the controller).
         """
         t = self.timings
-        start = max(at, self.busy_until)
+        busy = self.busy_until
+        start = busy if busy > at else at
         if self.open_row == row:
             self.row_hits += 1
-            data_at = start + t.row_hit_latency
-            self.busy_until = data_at
+            data_at = busy = start + t.tCAS  # the row-hit latency
         else:
             self.row_misses += 1
             self.activations += 1
@@ -49,10 +49,13 @@ class BankState:
             data_at = act_at + t.tRCD + t.tCAS
             # The row must stay active for tRAS before the next precharge,
             # so a conflicting access cannot begin earlier than that.
-            self.busy_until = max(data_at, act_at + t.tRAS)
+            busy = act_at + t.tRAS
+            if data_at > busy:
+                busy = data_at
             self.open_row = row
         if is_write:
-            self.busy_until += t.tWTR
+            busy += t.tWTR
+        self.busy_until = busy
         return data_at
 
 
@@ -73,8 +76,9 @@ class ChannelState:
 
     def reserve_bus(self, at: int) -> int:
         """Claim the next bus slot at or after ``at``; returns transfer end."""
-        start = max(at, self.bus_free_at)
-        end = start + self.timings.tBURST
+        burst = self.timings.tBURST
+        free_at = self.bus_free_at
+        end = (free_at if free_at > at else at) + burst
         self.bus_free_at = end
-        self.bus_busy_cycles += self.timings.tBURST
+        self.bus_busy_cycles += burst
         return end

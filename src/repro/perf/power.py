@@ -56,12 +56,6 @@ class EnergyCounters:
     write_bytes: int = 0
     exec_cycles: int = 0
 
-    def merge(self, other: "EnergyCounters") -> None:
-        self.activations += other.activations
-        self.read_bytes += other.read_bytes
-        self.write_bytes += other.write_bytes
-        self.exec_cycles = max(self.exec_cycles, other.exec_cycles)
-
 
 class PowerModel:
     """Turns event counters into active energy and power."""

@@ -5,8 +5,9 @@ coupling):
 
 1. the unperturbed baseline run yields per-(channel, bank) activation
    counts (``PerfResult.bank_activations``);
-2. activation energy attributes power to bank *positions* (summed over
-   channels — the thermal column above a bank position spans the die);
+2. activations (hence activation energy) are attributed to bank
+   *positions*, summed over channels — the thermal column above a bank
+   position spans the die;
 3. the hottest position is assigned ``max_rise_c`` of temperature rise
    over ambient, others scale linearly with their activation share;
 4. the classic reliability rule-of-thumb — FIT doubles per 10 °C —
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.perf.power import PowerParams
 from repro.stack.geometry import StackGeometry
 
 #: Temperature rise (deg C) assigned to the most active bank position.
@@ -42,18 +42,6 @@ def bank_position_activity(
         for bank, count in enumerate(channel_counts):
             per_position[bank % geometry.banks_per_die] += count
     return per_position
-
-
-def activity_energy_nj(
-    bank_activations: Sequence[Sequence[int]],
-    geometry: StackGeometry,
-    params: PowerParams = PowerParams(),
-) -> List[float]:
-    """Activation energy attributed to each bank position (nJ)."""
-    return [
-        count * params.e_act_nj
-        for count in bank_position_activity(bank_activations, geometry)
-    ]
 
 
 def thermal_bank_multipliers(

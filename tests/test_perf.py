@@ -298,3 +298,42 @@ class TestPerfEdgeCases:
         c.reset_stats()
         assert c.access("a")  # still resident: only counters were zeroed
         assert c.hits == 1 and c.misses == 0
+
+
+_HASH_SEED_PROBE = """
+import json
+from dataclasses import asdict
+from repro.perf.system import PerfConfig, SystemSimulator
+from repro.stack.geometry import StackGeometry
+from repro.workloads.generator import rate_mode_traces
+
+geometry = StackGeometry()
+traces = rate_mode_traces("stream", geometry, requests_per_core=1500, seed=1)
+# 32 KB / 64 B / 8 ways = 64 sets: small enough that lines are evicted.
+config = PerfConfig(parity_protection=True, llc_capacity_bytes=32768)
+print(json.dumps(asdict(SystemSimulator(geometry, config).run(traces))))
+"""
+
+
+def test_llc_set_index_does_not_depend_on_the_hash_seed():
+    """String hashes are salted per interpreter; the LLC set of a line
+    must be a pure function of the line, or evictions (and therefore
+    parity hits) change from one process to the next."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
