@@ -44,25 +44,15 @@ import sys
 import threading
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from repro.core.citadel import CitadelConfig
 from repro.errors import ReproError, TelemetryError
-from repro.faults.rates import FailureRates
 from repro.perf import PerfConfig, PowerModel, SystemSimulator
-from repro.reliability.montecarlo import EngineConfig
 from repro.reliability.sampling import SAMPLING_METHODS
-from repro.reliability.parallel import (
-    DEFAULT_SHARD_SIZE,
-    EarlyStopPolicy,
-    ParallelLifetimeRunner,
-)
+from repro.reliability.parallel import DEFAULT_SHARD_SIZE
 from repro.reliability.results import ReliabilityResult
-from repro.replay import (
-    DEFAULT_REPLAY_SHARD_SIZE,
-    ReplayCampaignRunner,
-    ReplayConfig,
-)
+from repro.replay import DEFAULT_REPLAY_SHARD_SIZE
 from repro.schemes import SCHEMES
 from repro.stack.geometry import StackGeometry
 from repro.stack.striping import StripingPolicy
@@ -76,6 +66,9 @@ from repro.telemetry.stats import (
 )
 from repro.workloads import PROFILES, WORKLOADS, rate_mode_traces
 from repro.workloads.generator import DEFAULT_CORES
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.service.jobs import CampaignSpec
 
 
 def package_version() -> str:
@@ -99,6 +92,19 @@ PERF_CONFIGS: Dict[str, PerfConfig] = {
     "3dp": PerfConfig(parity_protection=True, parity_caching=True),
     "3dp-nocache": PerfConfig(parity_protection=True, parity_caching=False),
 }
+
+
+def add_campaign_options(p: argparse.ArgumentParser) -> None:
+    """The campaign knobs every campaign command shares (the matching
+    :class:`~repro.service.jobs.CampaignSpec` fields)."""
+    p.add_argument("--scheme", choices=sorted(SCHEMES), default="citadel")
+    p.add_argument("--tsv-fit", type=float, default=0.0,
+                   help="TSV device FIT (paper sweeps 14-1430)")
+    p.add_argument("--tsv-swap", type=int, default=None, metavar="N",
+                   help="enable TSV-Swap with N stand-by TSVs per channel")
+    p.add_argument("--dds", action="store_true", help="enable DDS sparing")
+    p.add_argument("--scrub-hours", type=float, default=12.0)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,21 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the scheme table as JSON on stdout")
 
     rel = sub.add_parser("reliability", help="Monte-Carlo lifetime study")
-    rel.add_argument("--scheme", choices=sorted(SCHEMES), default="citadel")
+    add_campaign_options(rel)
     rel.add_argument("--trials", type=int, default=20000)
-    rel.add_argument("--tsv-fit", type=float, default=0.0,
-                     help="TSV device FIT (paper sweeps 14-1430)")
-    rel.add_argument("--tsv-swap", type=int, default=None, metavar="N",
-                     help="enable TSV-Swap with N stand-by TSVs per channel")
-    rel.add_argument("--dds", action="store_true", help="enable DDS sparing")
-    rel.add_argument("--scrub-hours", type=float, default=12.0)
-    rel.add_argument("--seed", type=int, default=0)
     rel.add_argument("--modes", action="store_true",
                      help="report failure-mode attribution")
     rel.add_argument("--workers", type=int, default=1,
                      help="worker processes; results are identical for "
                           "any value (default 1)")
-    rel.add_argument("--shard-size", type=int, default=None, metavar="N",
+    rel.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE,
+                     metavar="N",
                      help="trials per shard (default %d)"
                           % DEFAULT_SHARD_SIZE)
     rel.add_argument("--checkpoint", metavar="FILE", default=None,
@@ -162,11 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "CI is narrower than W (checked at shard merges)")
     rel.add_argument("--batch", action="store_true",
                      help="evaluate trials through the vectorized batch "
-                          "kernel (byte-identical results; needs numpy and "
+                          "kernel (byte-identical results; needs "
                           "--sampling naive)")
-    rel.add_argument("--early-stop", type=float, default=None, metavar="REL",
-                     help="stop once the 95%% CI half-width is below REL "
-                          "of the failure probability (e.g. 0.1)")
     rel.add_argument("--telemetry", action="store_true",
                      help="collect deterministic engine metrics "
                           "(implied by --metrics-out)")
@@ -203,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help="trace-replay co-simulation: joint reliability/perf/power",
     )
-    replay.add_argument("--scheme", choices=sorted(SCHEMES),
-                        default="citadel")
+    add_campaign_options(replay)
     replay.add_argument("--workload", choices=sorted(WORKLOADS),
                         default="zipfian")
     replay.add_argument("--trials", type=int, default=32,
@@ -213,15 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--requests", type=int, default=512,
                         help="requests per core (default 512)")
     replay.add_argument("--cores", type=int, default=4)
-    replay.add_argument("--seed", type=int, default=0)
-    replay.add_argument("--tsv-fit", type=float, default=0.0,
-                        help="TSV device FIT (paper sweeps 14-1430)")
-    replay.add_argument("--tsv-swap", type=int, default=None, metavar="N",
-                        help="enable TSV-Swap with N stand-by TSVs "
-                             "per channel")
-    replay.add_argument("--dds", action="store_true",
-                        help="enable DDS sparing")
-    replay.add_argument("--scrub-hours", type=float, default=12.0)
     replay.add_argument("--thermal", action="store_true",
                         help="feed baseline bank activity back into "
                              "per-bank FIT multipliers")
@@ -267,17 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile a small serial campaign: deterministic span "
              "hotspots plus an optional wall-clock sampling profiler",
     )
-    profile.add_argument("--scheme", choices=sorted(SCHEMES),
-                         default="citadel")
+    add_campaign_options(profile)
     profile.add_argument("--trials", type=int, default=2000)
-    profile.add_argument("--tsv-fit", type=float, default=0.0)
-    profile.add_argument("--tsv-swap", type=int, default=None, metavar="N")
-    profile.add_argument("--dds", action="store_true")
-    profile.add_argument("--scrub-hours", type=float, default=12.0)
-    profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--sampling", choices=list(SAMPLING_METHODS),
                          default="naive")
-    profile.add_argument("--shard-size", type=int, default=None, metavar="N")
+    profile.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE,
+                         metavar="N")
     profile.add_argument("--trace-sample-every", type=int, default=1,
                          metavar="N",
                          help="trace every Nth trial (default 1: all "
@@ -342,16 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a campaign to a running service"
     )
     add_client_options(submit)
-    submit.add_argument("--scheme", choices=sorted(SCHEMES), default="citadel")
+    add_campaign_options(submit)
     submit.add_argument("--trials", type=int, default=20000)
     submit.add_argument("--scale", type=int, default=1,
                         help="trial divisor for smoke runs (runs "
                              "trials//scale trials)")
-    submit.add_argument("--tsv-fit", type=float, default=0.0)
-    submit.add_argument("--tsv-swap", type=int, default=None, metavar="N")
-    submit.add_argument("--dds", action="store_true")
-    submit.add_argument("--scrub-hours", type=float, default=12.0)
-    submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE,
                         metavar="N")
     submit.add_argument("--sampling", choices=list(SAMPLING_METHODS),
@@ -463,6 +440,8 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def cmd_schemes(args: argparse.Namespace) -> int:
+    from repro.service.jobs import CITADEL_DEFAULT_STANDBY_TSVS
+
     geometry = StackGeometry()
     if args.json:
         out(json.dumps(
@@ -479,54 +458,51 @@ def cmd_schemes(args: argparse.Namespace) -> int:
         return 0
     for name in sorted(SCHEMES):
         model = SCHEMES[name](geometry)
-        extra = " (= 3dp + --tsv-swap 4 --dds)" if name == "citadel" else ""
+        extra = (
+            f" (= 3dp + --tsv-swap {CITADEL_DEFAULT_STANDBY_TSVS} --dds)"
+            if name == "citadel" else ""
+        )
         out(f"{name:<24} {model.name}{extra}")
     return 0
 
 
+def _campaign_spec(args: argparse.Namespace, **fields: Any) -> "CampaignSpec":
+    """The :class:`CampaignSpec` of a campaign command: the shared
+    :func:`add_campaign_options` knobs plus ``fields``."""
+    from repro.service.jobs import CampaignSpec
+
+    return CampaignSpec(
+        scheme=args.scheme,
+        trials=args.trials,
+        tsv_fit=args.tsv_fit,
+        tsv_swap=args.tsv_swap,
+        dds=args.dds,
+        scrub_hours=args.scrub_hours,
+        seed=args.seed,
+        **fields,
+    )
+
+
 def cmd_reliability(args: argparse.Namespace) -> int:
-    geometry = StackGeometry()
-    rates = FailureRates.paper_baseline(tsv_device_fit=args.tsv_fit)
-    tsv_swap = args.tsv_swap
-    use_dds = args.dds
-    if args.scheme == "citadel":
-        tsv_swap = 4 if tsv_swap is None else tsv_swap
-        use_dds = True
-    collect_metrics = args.telemetry or args.metrics_out is not None
-    model = SCHEMES[args.scheme](geometry)
-    runner = ParallelLifetimeRunner(
-        geometry,
-        rates,
-        model,
-        EngineConfig(
-            tsv_swap_standby=tsv_swap,
-            use_dds=use_dds,
-            scrub_interval_hours=args.scrub_hours,
-            collect_failure_modes=args.modes,
-            collect_metrics=collect_metrics,
-            sampling=args.sampling,
-            target_ci_width=args.target_ci_width,
-            batch_trials=args.batch,
-        ),
-        root_seed=args.seed,
-        workers=args.workers,
-        shard_size=(
-            args.shard_size if args.shard_size is not None
-            else DEFAULT_SHARD_SIZE
-        ),
+    spec = _campaign_spec(
+        args,
+        shard_size=args.shard_size,
+        modes=args.modes,
+        telemetry=args.telemetry or args.metrics_out is not None,
+        sampling=args.sampling,
+        target_ci_width=args.target_ci_width,
+        batch=args.batch,
+    )
+    runner = spec.runner(
+        args.workers,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         time_budget_s=args.time_budget,
-        early_stop=(
-            EarlyStopPolicy(rel_halfwidth=args.early_stop)
-            if args.early_stop is not None
-            else None
-        ),
         progress=args.progress,
         trace_path=args.trace_out,
         trace_sample_every=args.trace_sample_every,
     )
-    result = runner.run(trials=args.trials)
+    result = runner.run(trials=spec.effective_trials)
     report = runner.last_report
     if args.metrics_out is not None:
         registry = result.metrics if result.metrics is not None else (
@@ -630,46 +606,27 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    geometry = StackGeometry()
-    rates = FailureRates.paper_baseline(tsv_device_fit=args.tsv_fit)
-    tsv_swap = args.tsv_swap
-    use_dds = args.dds
-    if args.scheme == "citadel":
-        tsv_swap = 4 if tsv_swap is None else tsv_swap
-        use_dds = True
-    collect_metrics = args.telemetry or args.metrics_out is not None
-    model = SCHEMES[args.scheme](geometry)
-    replay_config = ReplayConfig(
-        workload=args.workload,
-        cores=args.cores,
-        requests_per_core=args.requests,
-        thermal=args.thermal,
-    )
-    runner = ReplayCampaignRunner(
-        geometry,
-        rates,
-        model,
-        EngineConfig(
-            tsv_swap_standby=tsv_swap,
-            use_dds=use_dds,
-            scrub_interval_hours=args.scrub_hours,
-        ),
-        replay_config,
-        root_seed=args.seed,
-        workers=args.workers,
+    spec = _campaign_spec(
+        args,
         shard_size=(
             args.shard_size if args.shard_size is not None
             else DEFAULT_REPLAY_SHARD_SIZE
         ),
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-        collect_metrics=collect_metrics,
+        telemetry=args.telemetry or args.metrics_out is not None,
+        mode="replay",
+        workload=args.workload,
+        requests=args.requests,
+        replay_cores=args.cores,
+        thermal=args.thermal,
+    )
+    runner = spec.runner(
+        args.workers, checkpoint_path=args.checkpoint, resume=args.resume
     )
     err(
         f"replay: {args.workload} x {args.trials} trials "
         f"({args.cores} cores x {args.requests} requests each)"
     )
-    result = runner.run(trials=args.trials)
+    result = runner.run(trials=spec.effective_trials)
     if args.metrics_out is not None:
         registry = result.metrics if result.metrics is not None else (
             MetricsRegistry()
@@ -724,27 +681,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 # Campaign service
 # ---------------------------------------------------------------------- #
-def _spec_from_args(args: argparse.Namespace) -> "object":
-    from repro.service.jobs import CampaignSpec
-
-    return CampaignSpec(
-        scheme=args.scheme,
-        trials=args.trials,
-        scale=args.scale,
-        tsv_fit=args.tsv_fit,
-        tsv_swap=args.tsv_swap,
-        dds=args.dds,
-        scrub_hours=args.scrub_hours,
-        seed=args.seed,
-        shard_size=args.shard_size,
-        modes=args.modes,
-        telemetry=args.telemetry,
-        sampling=args.sampling,
-        target_ci_width=args.target_ci_width,
-        batch=args.batch,
-    )
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.http import make_server
     from repro.service.scheduler import CampaignScheduler
@@ -831,7 +767,16 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient
 
     client = ServiceClient(args.url, timeout_s=args.timeout)
-    spec = _spec_from_args(args)
+    spec = _campaign_spec(
+        args,
+        scale=args.scale,
+        shard_size=args.shard_size,
+        modes=args.modes,
+        telemetry=args.telemetry,
+        sampling=args.sampling,
+        target_ci_width=args.target_ci_width,
+        batch=args.batch,
+    )
     job = client.submit(
         spec, priority=args.priority, workers=args.workers
     )
@@ -1026,14 +971,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     from repro.telemetry.tracing import read_trace
 
-    geometry = StackGeometry()
-    rates = FailureRates.paper_baseline(tsv_device_fit=args.tsv_fit)
-    tsv_swap = args.tsv_swap
-    use_dds = args.dds
-    if args.scheme == "citadel":
-        tsv_swap = 4 if tsv_swap is None else tsv_swap
-        use_dds = True
-    model = SCHEMES[args.scheme](geometry)
+    spec = _campaign_spec(
+        args,
+        shard_size=args.shard_size,
+        sampling=args.sampling,
+    )
     tmpdir: Optional[str] = None
     if args.trace_out is not None:
         trace_path = Path(args.trace_out)
@@ -1041,22 +983,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
         tmpdir = tempfile.mkdtemp(prefix="repro-profile-")
         trace_path = Path(tmpdir) / "trace.jsonl"
     try:
-        runner = ParallelLifetimeRunner(
-            geometry,
-            rates,
-            model,
-            EngineConfig(
-                tsv_swap_standby=tsv_swap,
-                use_dds=use_dds,
-                scrub_interval_hours=args.scrub_hours,
-                sampling=args.sampling,
-            ),
-            root_seed=args.seed,
-            workers=1,  # serial: one trace file, one thread to sample
-            shard_size=(
-                args.shard_size if args.shard_size is not None
-                else DEFAULT_SHARD_SIZE
-            ),
+        # Serial: one trace file, one thread to sample.
+        runner = spec.runner(
+            1,
             trace_path=str(trace_path),
             trace_sample_every=args.trace_sample_every,
         )
@@ -1068,7 +997,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         if profiler is not None:
             profiler.start()
         try:
-            result = runner.run(trials=args.trials)
+            result = runner.run(trials=spec.effective_trials)
         finally:
             if profiler is not None:
                 profiler.stop()

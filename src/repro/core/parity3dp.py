@@ -57,10 +57,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro import contracts
 from repro.ecc import batch_kernels
 from repro.ecc.base import CorrectionModel
-from repro.ecc.batch_kernels import np
 from repro.errors import ConfigurationError
 from repro.faults.types import Fault
 from repro.stack.geometry import StackGeometry

@@ -27,28 +27,16 @@ All set algebra happens on the FaultSim address+mask representation
 (:mod:`repro.faults.footprint`) flattened to int64 columns; the formulas
 below mirror ``RangeMask.intersects``/``covers`` bit-for-bit and the
 batch-vs-scalar differential tests hold the two in lock-step.
-
-The module degrades gracefully without numpy: importing it is always safe
-(``np`` is ``None``) and the engine raises a ``ConfigurationError`` before
-any kernel is asked to run.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-try:  # pragma: no cover - numpy is present in the supported environments
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
+from numpy import ndarray
 
-from repro import contracts
 from repro.stack.geometry import StackGeometry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from numpy import ndarray
-else:
-    ndarray = object
 
 #: Scrub-epoch slack of the possibly-co-live pair mask.  The engine's
 #: epoch bookkeeping uses exact ``(k + 1) * interval <= t`` comparisons;
@@ -85,9 +73,6 @@ class TrialBatch:
         col_mask: List[int],
         epoch: List[int],
     ) -> None:
-        contracts.require(
-            np is not None, "TrialBatch requires numpy"
-        )
         self.geometry = geometry
         self.counts = np.asarray(counts, dtype=np.int64)
         self.n_trials = int(self.counts.size)

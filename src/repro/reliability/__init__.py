@@ -6,7 +6,6 @@ from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
 from repro.reliability.parallel import (
     CampaignReport,
     CrashInjection,
-    EarlyStopPolicy,
     ParallelLifetimeRunner,
     ShardSpec,
     shard_plan,
@@ -31,7 +30,6 @@ __all__ = [
     "SparingStats",
     "StratumStats",
     "ParallelLifetimeRunner",
-    "EarlyStopPolicy",
     "StoppingRule",
     "ConfidenceSequence",
     "CampaignReport",

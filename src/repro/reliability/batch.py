@@ -35,8 +35,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 from repro import contracts
-from repro.ecc.batch_kernels import BatchCorrectionKernel, TrialBatch, np
-from repro.errors import ConfigurationError
+from repro.ecc.batch_kernels import BatchCorrectionKernel, TrialBatch
 from repro.faults.injector import FaultSpec
 from repro.faults.types import FaultKind, Permanence
 from repro.reliability.results import ReliabilityResult
@@ -54,20 +53,14 @@ def make_batch_runner(
 ) -> Optional["BatchTrialKernel"]:
     """The batch runner for ``sim``, or ``None`` to use the scalar loop.
 
-    Raises :class:`ConfigurationError` when batching was requested but
-    numpy is unavailable.  Returns ``None`` — silent scalar fallback, the
-    results are identical either way — when the run needs per-trial
-    observability (metrics, sparing stats, failure modes, tracing) or the
-    model has no array-shaped kernel.
+    Returns ``None`` — silent scalar fallback, the results are identical
+    either way — when the run needs per-trial observability (metrics,
+    sparing stats, failure modes, tracing) or the model has no
+    array-shaped kernel.
     """
     config = sim.config
     if not config.batch_trials:
         return None
-    if np is None:
-        raise ConfigurationError(
-            "EngineConfig.batch_trials requires numpy, which is not "
-            "installed; drop --batch to use the scalar path"
-        )
     if (
         config.collect_metrics
         or config.collect_sparing_stats

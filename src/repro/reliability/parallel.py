@@ -1,15 +1,31 @@
-"""Parallel sharded Monte-Carlo campaigns with checkpoint/resume.
+"""Sharded Monte-Carlo campaigns with checkpoint/resume.
 
-:class:`ParallelLifetimeRunner` splits a lifetime-reliability campaign
-into fixed-size *shards* and fans them out over ``multiprocessing``
-workers.  The shard plan is a pure function of ``(trials, shard_size)``
-and each shard draws from its own generator seeded with
-``derive_seed(root_seed, "shard", index)``, so the merged
-:class:`~repro.reliability.results.ReliabilityResult` is identical for
-any worker count — ``workers=1`` (which runs the same shards in-process,
-no pool) and ``workers=8`` produce byte-identical aggregates.
+:class:`ShardedCampaignRunner` is the one campaign loop every campaign
+kind runs on.  It splits a campaign into fixed-size *shards* and fans
+them out over ``multiprocessing`` workers.  The shard plan is a pure
+function of ``(trials, shard_size, root_seed)`` and each shard draws
+from its own generator seeded with
+``derive_seed(root_seed, "shard", index)``, so the merged result is
+identical for any worker count — ``workers=1`` (which runs the same
+shards in-process, no pool) and ``workers=8`` produce byte-identical
+aggregates.
 
-Robustness features for long campaigns:
+A campaign kind subclasses it and supplies its hooks:
+
+* ``result_type`` — the result monoid (:class:`CampaignResult`:
+  ``identity``/``merge``/``to_dict``/``from_dict``) the shard results
+  fold into, in shard-index order;
+* ``_task(spec)`` — the picklable :class:`ShardTask` that runs one shard;
+* ``_fingerprint(trials)`` — the campaign's checkpoint identity;
+* optionally ``pool_initializer`` (run once per pool worker) and
+  ``_stop_rule`` (a stopping rule over the merged shard prefix).
+
+:class:`ParallelLifetimeRunner` (lifetime reliability) adds the
+anytime-valid stopping rule, the run manifest and a labelled empty
+result; :class:`~repro.replay.runner.ReplayCampaignRunner` (trace-replay
+co-simulation) adds a per-process shared workload.
+
+Robustness features, the same for every campaign kind:
 
 * **Checkpointing** — the checkpoint is an append-only JSON Lines
   segment (:class:`~repro.telemetry.files.JsonlSegment`): a fingerprint
@@ -22,6 +38,9 @@ Robustness features for long campaigns:
 * **Wall-clock budget** — ``time_budget_s`` stops dispatching new shards
   once exceeded; completed shards are merged into an accurate partial
   result.
+* **Cancellation** — ``cancel_hook`` is polled between shards; when it
+  returns True the campaign stops dispatching and returns the partial
+  merge with ``report.cancelled`` set.
 * **Graceful interrupt** — ``KeyboardInterrupt`` drains already-running
   shards, checkpoints them, and returns the partial aggregate instead of
   losing the campaign.
@@ -29,12 +48,11 @@ Robustness features for long campaigns:
   failed and excluded from the merge (trial counts stay accurate); a
   hard worker death (``BrokenProcessPool``) aborts dispatch but still
   returns the completed prefix.
-* **Early stopping** — an optional sequential-probability rule stops the
-  campaign once the failure-probability confidence interval over the
-  *contiguous shard prefix* is tight enough.  Evaluating the rule on the
-  prefix (never on whichever shards happened to finish first) keeps the
-  stopped result deterministic across worker counts.  The prefix is
-  merged incrementally, so each shard is folded in and checked once.
+* **Stopping** — an optional rule stops the campaign once it holds on
+  the *contiguous shard prefix*.  Evaluating the rule on the prefix
+  (never on whichever shards happened to finish first) keeps the stopped
+  result deterministic across worker counts.  The prefix is merged
+  incrementally, so each shard is folded in and checked once.
 
 Observability (all opt-in, none of it feeds back into the simulation):
 
@@ -47,9 +65,9 @@ Observability (all opt-in, none of it feeds back into the simulation):
   not trace (a trace sink does not cross process boundaries).
 * ``last_campaign_metrics`` — wall-clock campaign metrics (shard latency
   histogram, completion counters).  Deliberately kept *outside* the
-  merged :class:`ReliabilityResult`, whose ``metrics`` sidecar only ever
-  carries the deterministic per-shard snapshots, so the merged result
-  stays byte-identical for any worker count.
+  merged result, whose ``metrics`` sidecar only ever carries the
+  deterministic per-shard snapshots, so the merged result stays
+  byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -68,10 +86,13 @@ from typing import (
     ContextManager,
     Dict,
     FrozenSet,
+    Generic,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
+    Type,
     TypeVar,
     Union,
 )
@@ -150,40 +171,49 @@ def shard_plan(trials: int, shard_size: int, root_seed: int) -> List[ShardSpec]:
     return shards
 
 
-@dataclass(frozen=True)
-class ShardCheckpoint:
-    """A campaign checkpoint: a :class:`JsonlSegment` whose header is the
-    campaign fingerprint, then one ``{"index", "shard"}`` record per
-    completed shard."""
+class CampaignResult(Protocol):
+    """The result monoid a campaign's shard results fold into.
 
-    segment: JsonlSegment
+    :class:`ReliabilityResult` and
+    :class:`~repro.replay.results.ReplayResult` both satisfy it.
+    """
 
-    def append(self, index: int, shard: Dict[str, Any]) -> None:
-        """Record one completed shard (its result dict, as serialized)."""
-        self.segment.append([{"index": index, "shard": shard}])
+    trials: int
+
+    @classmethod
+    def identity(cls: Type["R"]) -> "R": ...
+
+    @classmethod
+    def from_dict(cls: Type["R"], data: Dict[str, Any]) -> "R": ...
+
+    def merge(self: "R", other: "R") -> "R": ...
+
+    def to_dict(self) -> Dict[str, Any]: ...
 
 
-_Shard = TypeVar("_Shard")
+R = TypeVar("R", bound=CampaignResult)
 
 
 def open_checkpoint(
     path: Optional[Path],
     fingerprint: Dict[str, Any],
     resume: bool,
-    from_dict: Callable[[Dict[str, Any]], _Shard],
-) -> Tuple[Optional[ShardCheckpoint], Dict[int, _Shard]]:
+    from_dict: Callable[[Dict[str, Any]], R],
+) -> Tuple[Optional[JsonlSegment], Dict[int, R]]:
     """Open a campaign's checkpoint and load the shards it holds.
 
-    Returns ``(None, {})`` without a path.  Without ``resume`` a fresh
-    checkpoint replaces any file at ``path``.
+    The checkpoint is a :class:`JsonlSegment` whose header is the
+    campaign fingerprint, then one ``{"index", "shard"}`` record per
+    completed shard.  Returns ``(None, {})`` without a path.  Without
+    ``resume`` a fresh checkpoint replaces any file at ``path``.
     """
     if path is None:
         return None, {}
     if not resume:
-        return ShardCheckpoint(JsonlSegment.create(path, fingerprint)), {}
+        return JsonlSegment.create(path, fingerprint), {}
     segment, records = JsonlSegment.reopen(path, fingerprint)
     try:
-        return ShardCheckpoint(segment), {
+        return segment, {
             int(record["index"]): from_dict(record["shard"])
             for record in records
         }
@@ -193,36 +223,16 @@ def open_checkpoint(
         ) from exc
 
 
-@dataclass(frozen=True)
-class EarlyStopPolicy:
-    """Stop once the failure-probability CI over the shard prefix is tight.
+def config_fingerprint(config: Dict[str, Any]) -> Dict[str, Any]:
+    """An ``asdict`` config as a checkpoint fingerprint holds it.
 
-    The rule fires when at least ``min_failures`` failures have been
-    observed *and* the ``z``-score confidence half-width is at most
-    ``rel_halfwidth`` of the point estimate.  Requiring a failure floor
-    first keeps the rule from triggering on the lucky all-zero prefixes
-    of a rare-failure campaign.
+    JSON round-trips tuples (``thermal_bank_fit``) as lists; normalize
+    them so a saved fingerprint compares equal to a freshly computed one.
     """
-
-    rel_halfwidth: float = 0.1
-    min_failures: int = 100
-    z: float = 1.96
-
-    def __post_init__(self) -> None:
-        contracts.require(
-            self.rel_halfwidth > 0,
-            "rel_halfwidth must be positive, got %r",
-            self.rel_halfwidth,
-        )
-        contracts.check_non_negative(self.min_failures, "min_failures")
-
-    def satisfied(self, prefix: ReliabilityResult) -> bool:
-        if prefix.trials == 0 or prefix.failures < self.min_failures:
-            return False
-        p = prefix.failure_probability
-        if p <= 0.0:
-            return False
-        return self.z * prefix.std_error <= self.rel_halfwidth * p
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in config.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -244,7 +254,7 @@ class CrashInjection:
 
 @dataclass
 class CampaignReport:
-    """Bookkeeping for one :meth:`ParallelLifetimeRunner.run` call."""
+    """Bookkeeping for one campaign ``run()`` call."""
 
     planned_shards: int = 0
     completed_shards: int = 0
@@ -269,34 +279,36 @@ class CampaignReport:
 
 
 @dataclass
-class _StopPrefix:
+class _StopPrefix(Generic[R]):
     """Running left fold of the contiguous completed-shard prefix.
 
     ``merged`` covers shards ``0 .. next_index - 1``; ``stop`` is the
-    first index at which a stopping rule held, once one has.
+    first index at which the stopping rule held, once it has.
     """
 
-    merged: ReliabilityResult = field(default_factory=ReliabilityResult.identity)
+    merged: R
     next_index: int = 0
     stop: Optional[int] = None
 
 
 @dataclass(frozen=True)
-class _ShardTask:
-    """Everything a worker process needs to run one shard."""
+class ShardTask:
+    """Everything a worker process needs to run one shard.
+
+    Campaign kinds subclass it with their own fields and :meth:`run`;
+    it must pickle, since pool workers receive it by value.
+    """
 
     spec: ShardSpec
-    geometry: StackGeometry
-    rates: FailureRates
-    model: CorrectionModel
-    config: EngineConfig
-    min_faults: int
-    label: str
     crash: CrashInjection
+
+    def run(self, tracer: Optional[TraceWriter] = None) -> Dict[str, Any]:
+        """Run the shard; returns its result dict."""
+        raise NotImplementedError
 
 
 def _run_shard(
-    task: _ShardTask, tracer: Optional[TraceWriter] = None
+    task: ShardTask, tracer: Optional[TraceWriter] = None
 ) -> Tuple[int, Dict[str, Any], float]:
     """Worker entry point (module-level so it pickles).
 
@@ -312,46 +324,37 @@ def _run_shard(
             f"injected crash in shard {task.spec.index} (CrashInjection)"
         )
     started = time.monotonic()
-    sim = LifetimeSimulator(
-        task.geometry,
-        task.rates,
-        task.model,
-        task.config,
-        seed=task.spec.seed,
-        tracer=tracer,
-    )
-    result = sim.run(
-        trials=task.spec.trials,
-        min_faults=task.min_faults,
-        label=task.label,
-    )
-    return task.spec.index, result.to_dict(), time.monotonic() - started
+    payload = task.run(tracer)
+    return task.spec.index, payload, time.monotonic() - started
 
 
-class ParallelLifetimeRunner:
-    """Sharded, resumable, multi-process lifetime-reliability campaigns.
+_Futures = Dict["Future[Tuple[int, Dict[str, Any], float]]", ShardSpec]
 
-    Drop-in upgrade of :class:`LifetimeSimulator.run`: construction takes
-    the same ``(geometry, rates, model, config)`` tuple plus a
-    ``root_seed``, and :meth:`run` returns the same
-    :class:`ReliabilityResult` type the serial engine produces.
+
+class ShardedCampaignRunner(Generic[R]):
+    """The shared campaign loop: shard plan, checkpoint, serial and pool
+    loops, cancel, time budget, crash containment, interrupt drain,
+    progress, tracing and the index-order merge.
+
+    Subclasses supply ``result_type``, :meth:`_task` and
+    :meth:`_fingerprint`, and call :meth:`_drive` from their ``run``.
+    The keywords here are the execution keywords every campaign runner
+    accepts; none of them changes the merged result except through the
+    shard plan (``root_seed``, ``shard_size``).
     """
+
+    #: The result monoid the shard results fold into.
+    result_type: Type[R]
 
     def __init__(
         self,
-        geometry: StackGeometry,
-        rates: FailureRates,
-        model: CorrectionModel,
-        config: Optional[EngineConfig] = None,
         *,
+        shard_size: int,
         root_seed: int = 0,
         workers: int = 1,
-        shard_size: int = DEFAULT_SHARD_SIZE,
         checkpoint_path: Optional[Union[str, Path]] = None,
         resume: bool = False,
         time_budget_s: Optional[float] = None,
-        early_stop: Optional[EarlyStopPolicy] = None,
-        stopping: Optional[StoppingRule] = None,
         crash_injection: Optional[CrashInjection] = None,
         progress: bool = False,
         progress_interval_s: float = 1.0,
@@ -369,10 +372,6 @@ class ParallelLifetimeRunner:
             "time_budget_s must be positive, got %r",
             time_budget_s,
         )
-        self.geometry = geometry
-        self.rates = rates
-        self.model = model
-        self.config = config if config is not None else EngineConfig()
         self.root_seed = root_seed
         self.workers = workers
         self.shard_size = shard_size
@@ -381,12 +380,6 @@ class ParallelLifetimeRunner:
         )
         self.resume = resume
         self.time_budget_s = time_budget_s
-        self.early_stop = early_stop
-        #: Anytime-valid stopping rule, consulted on the contiguous shard
-        #: prefix alongside ``early_stop``.  When None but the engine
-        #: config sets ``target_ci_width``, :meth:`run` resolves a default
-        #: :class:`StoppingRule` — the path the campaign service uses.
-        self.stopping = stopping
         self.crash_injection = (
             crash_injection if crash_injection is not None else CrashInjection()
         )
@@ -402,57 +395,62 @@ class ParallelLifetimeRunner:
         #: the embedding the campaign service uses to cancel running
         #: jobs without killing worker processes mid-shard.
         self.cancel_hook = cancel_hook
+        #: Run once in each pool worker before its first shard.
+        self.pool_initializer: Optional[Callable[[], None]] = None
         self.last_report: Optional[CampaignReport] = None
         #: Wall-clock campaign observability (shard latency, completion
         #: counters).  Kept runner-side, never merged into the result.
         self.last_campaign_metrics: Optional[MetricsRegistry] = None
+        #: Stopping rule over the merged contiguous shard prefix (None:
+        #: run every planned shard); set per run by runners that stop.
+        self._stop_rule: Optional[Callable[[R], bool]] = None
         self._reporter: Optional[ProgressReporter] = None
         self._tracer: Optional[TraceWriter] = None
         self._campaign: Optional[MetricsRegistry] = None
-        self._active_stopping: Optional[StoppingRule] = None
-        self._checkpoint: Optional[ShardCheckpoint] = None
-        self._prefix = _StopPrefix()
+        self._checkpoint: Optional[JsonlSegment] = None
+        self._prefix: _StopPrefix[R] = _StopPrefix(self.result_type.identity())
         self._trials_done = 0
 
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        trials: int,
-        min_faults: Optional[int] = None,
-        label: Optional[str] = None,
-    ) -> ReliabilityResult:
+    # Hooks
+    # ------------------------------------------------------------------ #
+    def _task(self, spec: ShardSpec) -> ShardTask:
+        """The picklable task that runs shard ``spec``."""
+        raise NotImplementedError
+
+    def _fingerprint(self, trials: int) -> Dict[str, Any]:
+        """Identity of the campaign; a checkpoint from a different one
+        must never be silently merged into it."""
+        raise NotImplementedError
+
+    def _plan_fingerprint(self, trials: int, **identity: Any) -> Dict[str, Any]:
+        """The shard plan's identity plus the runner's ``identity`` keys."""
+        return {
+            "version": CHECKPOINT_VERSION,
+            "root_seed": self.root_seed,
+            "trials": trials,
+            "shard_size": self.shard_size,
+            **identity,
+        }
+
+    # ------------------------------------------------------------------ #
+    def _drive(self, trials: int, label: str) -> R:
         """Run (or resume) the campaign and return the merged result.
 
-        ``self.last_report`` carries the campaign bookkeeping
-        (shard counts, early-stop / interrupt / budget flags).
+        ``self.last_report`` carries the campaign bookkeeping (shard
+        counts, stop / interrupt / budget / cancel flags).
         """
         started = time.monotonic()
-        template = LifetimeSimulator(
-            self.geometry,
-            self.rates,
-            self.model,
-            self.config,
-            seed=self.root_seed,
-        )
-        resolved_min = (
-            template.default_min_faults() if min_faults is None else min_faults
-        )
-        resolved_label = label if label is not None else template.scheme_label()
-        self._active_stopping = self.stopping
-        if self._active_stopping is None and self.config.target_ci_width is not None:
-            self._active_stopping = StoppingRule(self.config.target_ci_width)
         shards = shard_plan(trials, self.shard_size, self.root_seed)
         report = CampaignReport(planned_shards=len(shards))
-        fingerprint = self._fingerprint(trials, resolved_min, resolved_label)
-
         self._checkpoint, completed = open_checkpoint(
             self.checkpoint_path,
-            fingerprint,
+            self._fingerprint(trials),
             self.resume,
-            ReliabilityResult.from_dict,
+            self.result_type.from_dict,
         )
         report.resumed_shards = len(completed)
-        self._prefix = _StopPrefix()
+        self._prefix = _StopPrefix(self.result_type.identity())
         self._trials_done = sum(r.trials for r in completed.values())
         pending = [s for s in shards if s.index not in completed]
 
@@ -461,7 +459,7 @@ class ParallelLifetimeRunner:
             ProgressReporter(
                 total_shards=len(shards),
                 total_trials=trials,
-                label=resolved_label,
+                label=label,
                 stream=self.progress_stream,
                 min_interval_s=self.progress_interval_s,
                 time_budget_s=self.time_budget_s,
@@ -477,7 +475,7 @@ class ParallelLifetimeRunner:
         campaign_span: ContextManager[Any] = (
             self._tracer.span(
                 "campaign",
-                label=resolved_label,
+                label=label,
                 trials=trials,
                 shards=len(shards),
                 workers=self.workers,
@@ -489,11 +487,9 @@ class ParallelLifetimeRunner:
             with campaign_span:
                 try:
                     if self.workers == 1:
-                        self._run_serial(pending, completed, report,
-                                         resolved_min, resolved_label, started)
+                        self._run_serial(pending, completed, report, started)
                     else:
-                        self._run_pool(pending, completed, report,
-                                       resolved_min, resolved_label, started)
+                        self._run_pool(pending, completed, report, started)
                 except KeyboardInterrupt:
                     report.interrupted = True
         finally:
@@ -513,77 +509,16 @@ class ParallelLifetimeRunner:
             self._campaign = None
             self._checkpoint = None
 
-        merged = self._merge(shards, completed, report)
-        if merged.is_identity:
-            # Nothing completed (0 trials, or everything crashed/stopped):
-            # return an empty-but-labelled result rather than the bare
-            # identity so downstream summaries stay readable.
-            merged = ReliabilityResult(
-                scheme_name=resolved_label,
-                trials=0,
-                failures=0,
-                stratum_weight=1.0,
-                lifetime_hours=self.config.lifetime_hours,
-                min_faults=resolved_min,
-            )
-        merged.manifest = self._build_manifest(trials, resolved_label)
-        self._record_campaign_outcome(trials, merged, report)
+        merged = self._merge(completed, report)
         report.elapsed_seconds = time.monotonic() - started
         self.last_report = report
         return merged
 
-    def _build_manifest(self, trials: int, label: str) -> RunManifest:
-        """Provenance of this campaign: a pure function of the campaign
-        configuration (worker count and wall clock excluded), so merged
-        results stay byte-identical for any worker count."""
-        from repro import __version__
-
-        return RunManifest(
-            scheme=label,
-            seed=self.root_seed,
-            trials=trials,
-            shard_size=self.shard_size,
-            sampling=self.config.sampling,
-            target_ci_width=self.config.target_ci_width,
-            checkpoint_version=CHECKPOINT_VERSION,
-            schemes_hash=schemes_registry_hash(),
-            package_version=__version__,
-        )
-
-    def _record_campaign_outcome(
-        self,
-        planned_trials: int,
-        merged: ReliabilityResult,
-        report: CampaignReport,
-    ) -> None:
-        """Volatile campaign observability for the stopping layer: trials
-        saved by stopping early, final anytime-valid CI width, and the
-        effective (importance-weighted) failure count of the merge."""
-        registry = self.last_campaign_metrics
-        if registry is None:
-            return
-        if report.stopped_early:
-            registry.inc(
-                "campaign/trials_saved",
-                max(0, planned_trials - merged.trials),
-            )
-        if self._active_stopping is not None:
-            lo, hi = self._active_stopping.interval(merged)
-            registry.gauge_set("campaign/ci_width", hi - lo, volatile=True)
-        registry.gauge_set(
-            "campaign/effective_failures",
-            merged.effective_failures(),
-            volatile=True,
-        )
-
-    # ------------------------------------------------------------------ #
     def _run_serial(
         self,
         pending: Sequence[ShardSpec],
-        completed: Dict[int, ReliabilityResult],
+        completed: Dict[int, R],
         report: CampaignReport,
-        min_faults: int,
-        label: str,
         started: float,
     ) -> None:
         """``workers=1`` degenerate case: same shards, same merge, no pool."""
@@ -594,7 +529,7 @@ class ParallelLifetimeRunner:
             if self._out_of_budget(started):
                 report.budget_exhausted = True
                 break
-            task = self._task(spec, min_faults, label)
+            task = self._task(spec)
             tracer = self._tracer
             shard_span: ContextManager[Any] = (
                 tracer.span("shard", index=spec.index, trials=spec.trials)
@@ -614,7 +549,6 @@ class ParallelLifetimeRunner:
                 report.failed_shards.append(spec.index)
                 continue
             self._accept(completed, report, index, payload, seconds)
-            self._emit_progress(completed)
             if self._stop_index(completed) is not None:
                 report.stopped_early = True
                 break
@@ -622,15 +556,15 @@ class ParallelLifetimeRunner:
     def _run_pool(
         self,
         pending: Sequence[ShardSpec],
-        completed: Dict[int, ReliabilityResult],
+        completed: Dict[int, R],
         report: CampaignReport,
-        min_faults: int,
-        label: str,
         started: float,
     ) -> None:
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures: Dict[Future[Tuple[int, Dict[str, Any]]], ShardSpec] = {
-                pool.submit(_run_shard, self._task(spec, min_faults, label)): spec
+        with ProcessPoolExecutor(
+            max_workers=self.workers, initializer=self.pool_initializer
+        ) as pool:
+            futures: _Futures = {
+                pool.submit(_run_shard, self._task(spec)): spec
                 for spec in pending
             }
             try:
@@ -650,7 +584,6 @@ class ParallelLifetimeRunner:
                             report.failed_shards.append(spec.index)
                             continue
                         self._accept(completed, report, index, payload, seconds)
-                        self._emit_progress(completed)
                         if self._tracer is not None:
                             self._tracer.event(
                                 "shard_completed",
@@ -679,7 +612,7 @@ class ParallelLifetimeRunner:
                         break
             except KeyboardInterrupt:
                 # Graceful drain: stop dispatching, let running shards
-                # finish, fold them in, then re-raise for run() to flag.
+                # finish, fold them in, then re-raise for _drive to flag.
                 self._cancel_all(futures)
                 for future, spec in futures.items():
                     if future.cancelled():
@@ -693,28 +626,14 @@ class ParallelLifetimeRunner:
                 raise
 
     @staticmethod
-    def _cancel_all(
-        futures: Dict[Future[Tuple[int, Dict[str, Any]]], ShardSpec]
-    ) -> None:
+    def _cancel_all(futures: _Futures) -> None:
         for future in futures:
             future.cancel()
 
     # ------------------------------------------------------------------ #
-    def _task(self, spec: ShardSpec, min_faults: int, label: str) -> _ShardTask:
-        return _ShardTask(
-            spec=spec,
-            geometry=self.geometry,
-            rates=self.rates,
-            model=self.model,
-            config=self.config,
-            min_faults=min_faults,
-            label=label,
-            crash=self.crash_injection,
-        )
-
     def _accept(
         self,
-        completed: Dict[int, ReliabilityResult],
+        completed: Dict[int, R],
         report: CampaignReport,
         index: int,
         payload: Dict[str, Any],
@@ -723,28 +642,20 @@ class ParallelLifetimeRunner:
         """Fold one finished shard into the campaign: checkpoint the
         worker's result dict as is (no re-serialization), then keep it."""
         if self._checkpoint is not None:
-            self._checkpoint.append(index, payload)
-        result = ReliabilityResult.from_dict(payload)
+            self._checkpoint.append([{"index": index, "shard": payload}])
+        result = self.result_type.from_dict(payload)
         completed[index] = result
         self._trials_done += result.trials
         report.completed_shards += 1
-        self._observe_shard(seconds)
-
-    def _observe_shard(self, seconds: float) -> None:
-        """Record one shard's wall-clock latency (volatile campaign metrics)."""
-        if self._campaign is None:
-            return
-        self._campaign.observe(
-            "campaign/shard_seconds",
-            seconds,
-            edges=SHARD_SECONDS_EDGES,
-            volatile=True,
-        )
-        self._campaign.record_seconds("campaign/shard_time", seconds)
-
-    def _emit_progress(
-        self, completed: Dict[int, ReliabilityResult]
-    ) -> None:
+        if self._campaign is not None:
+            # Wall-clock shard latency (volatile campaign metrics).
+            self._campaign.observe(
+                "campaign/shard_seconds",
+                seconds,
+                edges=SHARD_SECONDS_EDGES,
+                volatile=True,
+            )
+            self._campaign.record_seconds("campaign/shard_time", seconds)
         if self._reporter is not None:
             self._reporter.update(len(completed), self._trials_done)
 
@@ -757,43 +668,30 @@ class ParallelLifetimeRunner:
             and time.monotonic() - started >= self.time_budget_s
         )
 
-    def _stop_index(self, completed: Dict[int, ReliabilityResult]) -> Optional[int]:
-        """Smallest shard index k such that the early-stop rule holds on
+    def _stop_index(self, completed: Dict[int, R]) -> Optional[int]:
+        """Smallest shard index k such that the stopping rule holds on
         the contiguous prefix 0..k — or None.
 
         Only contiguous prefixes are considered so the decision depends
         on the shard plan, never on completion order; a failed shard is
         never completed, so it ends the prefix and disables stopping
-        past it.  Both the legacy Wald-interval :class:`EarlyStopPolicy`
-        and the anytime-valid :class:`StoppingRule` are consulted; either
-        may fire.  The prefix fold persists for the whole :meth:`run`, so
-        each shard is merged into it and checked exactly once, and the
+        past it.  The prefix fold persists for the whole run, so each
+        shard is merged into it and checked exactly once, and the
         decision is remembered once made.
         """
         prefix = self._prefix
-        if prefix.stop is not None:
+        rule = self._stop_rule
+        if prefix.stop is not None or rule is None:
             return prefix.stop
-        rules = [
-            rule
-            for rule in (self.early_stop, self._active_stopping)
-            if rule is not None
-        ]
-        if not rules:
-            return None
         while prefix.next_index in completed:
             prefix.merged = prefix.merged.merge(completed[prefix.next_index])
             prefix.next_index += 1
-            if any(rule.satisfied(prefix.merged) for rule in rules):
+            if rule(prefix.merged):
                 prefix.stop = prefix.next_index - 1
                 break
         return prefix.stop
 
-    def _merge(
-        self,
-        shards: Sequence[ShardSpec],
-        completed: Dict[int, ReliabilityResult],
-        report: CampaignReport,
-    ) -> ReliabilityResult:
+    def _merge(self, completed: Dict[int, R], report: CampaignReport) -> R:
         """Left fold of the merged shards in index order.
 
         The folded prefix is reused as is: it already is the fold of
@@ -811,29 +709,182 @@ class ParallelLifetimeRunner:
                 merged = merged.merge(completed[index])
         return merged
 
-    # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def _fingerprint(
-        self, trials: int, min_faults: int, label: str
-    ) -> Dict[str, Any]:
-        """Identity of the shard plan; a checkpoint from a different plan
-        must never be silently merged into this campaign."""
-        engine_config = asdict(self.config)
-        if engine_config.get("thermal_bank_fit") is not None:
-            # JSON round-trips tuples as lists; normalize so a saved
-            # fingerprint compares equal to a freshly computed one.
-            engine_config["thermal_bank_fit"] = list(
-                engine_config["thermal_bank_fit"]
+
+@dataclass(frozen=True)
+class _ShardTask(ShardTask):
+    """One lifetime-reliability shard."""
+
+    geometry: StackGeometry
+    rates: FailureRates
+    model: CorrectionModel
+    config: EngineConfig
+    min_faults: int
+    label: str
+
+    def run(self, tracer: Optional[TraceWriter] = None) -> Dict[str, Any]:
+        sim = LifetimeSimulator(
+            self.geometry,
+            self.rates,
+            self.model,
+            self.config,
+            seed=self.spec.seed,
+            tracer=tracer,
+        )
+        result = sim.run(
+            trials=self.spec.trials,
+            min_faults=self.min_faults,
+            label=self.label,
+        )
+        return result.to_dict()
+
+
+class ParallelLifetimeRunner(ShardedCampaignRunner[ReliabilityResult]):
+    """Sharded, resumable, multi-process lifetime-reliability campaigns.
+
+    Drop-in upgrade of :class:`LifetimeSimulator.run`: construction takes
+    the same ``(geometry, rates, model, config)`` tuple plus the
+    execution keywords (``root_seed``, ``workers``, ``checkpoint_path``,
+    ``cancel_hook``, ... — see :class:`ShardedCampaignRunner`), and
+    :meth:`run` returns the same :class:`ReliabilityResult` type the
+    serial engine produces.  On top of the shared loop it adds the
+    anytime-valid stopping rule, the run manifest and a labelled empty
+    result.
+    """
+
+    result_type = ReliabilityResult
+
+    def __init__(
+        self,
+        geometry: StackGeometry,
+        rates: FailureRates,
+        model: CorrectionModel,
+        config: Optional[EngineConfig] = None,
+        *,
+        shard_size: int = DEFAULT_SHARD_SIZE,
+        stopping: Optional[StoppingRule] = None,
+        **execution: Any,
+    ) -> None:
+        super().__init__(shard_size=shard_size, **execution)
+        self.geometry = geometry
+        self.rates = rates
+        self.model = model
+        self.config = config if config is not None else EngineConfig()
+        #: Anytime-valid stopping rule, consulted on the contiguous shard
+        #: prefix.  When None but the engine config sets
+        #: ``target_ci_width``, :meth:`run` resolves a default
+        #: :class:`StoppingRule` — the path the campaign service uses.
+        self.stopping = stopping
+        self._active_stopping: Optional[StoppingRule] = None
+        self._min_faults = 0
+        self._label = ""
+
+    def run(
+        self,
+        trials: int,
+        min_faults: Optional[int] = None,
+        label: Optional[str] = None,
+    ) -> ReliabilityResult:
+        """Run (or resume) the campaign and return the merged result.
+
+        ``self.last_report`` carries the campaign bookkeeping
+        (shard counts, stop / interrupt / budget / cancel flags).
+        """
+        template = LifetimeSimulator(
+            self.geometry,
+            self.rates,
+            self.model,
+            self.config,
+            seed=self.root_seed,
+        )
+        self._min_faults = (
+            template.default_min_faults() if min_faults is None else min_faults
+        )
+        self._label = label if label is not None else template.scheme_label()
+        self._active_stopping = self.stopping
+        if self._active_stopping is None and self.config.target_ci_width is not None:
+            self._active_stopping = StoppingRule(self.config.target_ci_width)
+        self._stop_rule = (
+            self._active_stopping.satisfied
+            if self._active_stopping is not None
+            else None
+        )
+        merged = self._drive(trials, self._label)
+        if merged.is_identity:
+            # Nothing completed (0 trials, or everything crashed/stopped):
+            # return an empty-but-labelled result rather than the bare
+            # identity so downstream summaries stay readable.
+            merged = ReliabilityResult(
+                scheme_name=self._label,
+                trials=0,
+                failures=0,
+                stratum_weight=1.0,
+                lifetime_hours=self.config.lifetime_hours,
+                min_faults=self._min_faults,
             )
-        return {
-            "version": CHECKPOINT_VERSION,
-            "root_seed": self.root_seed,
-            "trials": trials,
-            "shard_size": self.shard_size,
-            "min_faults": min_faults,
-            "label": label,
-            "model": self.model.name,
-            "engine_config": engine_config,
-            "rates_tsv_fit": self.rates.tsv_device_fit,
-        }
+        merged.manifest = self._build_manifest(trials)
+        self._record_campaign_outcome(trials, merged)
+        return merged
+
+    def _task(self, spec: ShardSpec) -> _ShardTask:
+        return _ShardTask(
+            spec=spec,
+            crash=self.crash_injection,
+            geometry=self.geometry,
+            rates=self.rates,
+            model=self.model,
+            config=self.config,
+            min_faults=self._min_faults,
+            label=self._label,
+        )
+
+    def _fingerprint(self, trials: int) -> Dict[str, Any]:
+        return self._plan_fingerprint(
+            trials,
+            min_faults=self._min_faults,
+            label=self._label,
+            model=self.model.name,
+            engine_config=config_fingerprint(asdict(self.config)),
+            rates_tsv_fit=self.rates.tsv_device_fit,
+        )
+
+    def _build_manifest(self, trials: int) -> RunManifest:
+        """Provenance of this campaign: a pure function of the campaign
+        configuration (worker count and wall clock excluded), so merged
+        results stay byte-identical for any worker count."""
+        from repro import __version__
+
+        return RunManifest(
+            scheme=self._label,
+            seed=self.root_seed,
+            trials=trials,
+            shard_size=self.shard_size,
+            sampling=self.config.sampling,
+            target_ci_width=self.config.target_ci_width,
+            checkpoint_version=CHECKPOINT_VERSION,
+            schemes_hash=schemes_registry_hash(),
+            package_version=__version__,
+        )
+
+    def _record_campaign_outcome(
+        self, planned_trials: int, merged: ReliabilityResult
+    ) -> None:
+        """Volatile campaign observability for the stopping layer: trials
+        saved by stopping early, final anytime-valid CI width, and the
+        effective (importance-weighted) failure count of the merge."""
+        registry = self.last_campaign_metrics
+        report = self.last_report
+        if registry is None or report is None:
+            return
+        if report.stopped_early:
+            registry.inc(
+                "campaign/trials_saved",
+                max(0, planned_trials - merged.trials),
+            )
+        if self._active_stopping is not None:
+            lo, hi = self._active_stopping.interval(merged)
+            registry.gauge_set("campaign/ci_width", hi - lo, volatile=True)
+        registry.gauge_set(
+            "campaign/effective_failures",
+            merged.effective_failures(),
+            volatile=True,
+        )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import contracts
 from repro.errors import MergeError
@@ -164,13 +164,6 @@ class ReplayResult:
             ),
             metrics=metrics,
         )
-
-    @classmethod
-    def merge_all(cls, results: Iterable["ReplayResult"]) -> "ReplayResult":
-        merged = cls.identity()
-        for result in results:
-            merged = merged.merge(result)
-        return merged
 
     # ------------------------------------------------------------------ #
     # JSON serialization (checkpoints, the joint report)

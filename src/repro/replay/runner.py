@@ -1,99 +1,104 @@
 """Sharded, resumable replay campaigns (the parallel half).
 
-Mirrors :class:`~repro.reliability.parallel.ParallelLifetimeRunner`:
-the shard plan is a pure function of ``(trials, shard_size, root_seed)``
-via :func:`~repro.reliability.parallel.shard_plan`, workers pull shards
-from a process pool, each completed shard is appended as one line to an
-append-only checkpoint segment headed by the campaign fingerprint
-(:func:`~repro.reliability.parallel.open_checkpoint`), and the final
-aggregate is the monoid fold of the shard results in index order — so
-workers-1 and workers-4 runs (and a checkpoint/resume run) produce
-byte-identical serialized results.
+:class:`ReplayCampaignRunner` runs on the shared campaign loop of
+:mod:`repro.reliability.parallel`
+(:class:`~repro.reliability.parallel.ShardedCampaignRunner`), the same
+one the lifetime-reliability runner uses: the shard plan, the
+append-only checkpoint, the serial and pool loops, the cancel hook,
+the time budget, crash containment, progress, tracing and the
+index-order monoid fold all come from there — so workers-1 and workers-4
+runs (and a checkpoint/resume run) produce byte-identical serialized
+results.  This module supplies only the replay shard task, the
+campaign fingerprint and the result monoid
+(:class:`~repro.replay.results.ReplayResult`, whose ``identity()`` is
+the empty result).
 
 The shared :class:`~repro.replay.engine.ReplayWorkload` is built lazily by
 the first shard, at most once per campaign per process: a serial
 ``run()`` holds it for that call, a pool worker for the pool's life (one
-``run()``).  Nothing carries over between ``run()`` calls.
+``run()``; the pool initializer clears it).  Nothing carries over between
+``run()`` calls.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional
 
-from repro import contracts
 from repro.faults.rates import FailureRates
 from repro.ecc.base import CorrectionModel
 from repro.perf.system import PerfConfig
 from repro.reliability.montecarlo import EngineConfig
 from repro.reliability.parallel import (
-    CHECKPOINT_VERSION,
+    ShardedCampaignRunner,
     ShardSpec,
-    open_checkpoint,
-    shard_plan,
+    ShardTask,
+    config_fingerprint,
 )
 from repro.replay.engine import ReplayConfig, ReplayEngine, ReplayWorkload
 from repro.replay.results import ReplayResult
 from repro.rng import derive_seed
 from repro.stack.geometry import StackGeometry
 from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.tracing import TraceWriter
 
 #: Replay trials are orders of magnitude heavier than reliability trials
 #: (each replays the full trace), so shards stay small.
 DEFAULT_REPLAY_SHARD_SIZE = 8
 
 
-@dataclass(frozen=True)
-class _ReplayShardTask:
-    """Everything a worker process needs to run one replay shard."""
+@dataclass
+class _WorkloadSlot:
+    """A campaign's shared workload, once its first shard has built it."""
 
-    spec: ShardSpec
+    workload: Optional[ReplayWorkload] = None
+
+
+#: A pool worker's slot, filled by the first shard it runs; the pool's
+#: initializer empties it.
+_worker_workload = _WorkloadSlot()
+
+
+def _clear_worker_workload() -> None:
+    _worker_workload.workload = None
+
+
+@dataclass(frozen=True)
+class _ReplayShardTask(ShardTask):
+    """One replay shard."""
+
     engine: ReplayEngine
     trace_seed: int
     label: str
     collect_metrics: bool
+    #: The serial run's slot; None in a pool worker, which uses its own.
+    workload: Optional[_WorkloadSlot] = None
+
+    def run(self, tracer: Optional[TraceWriter] = None) -> Dict[str, Any]:
+        slot = self.workload if self.workload is not None else _worker_workload
+        if slot.workload is None:
+            slot.workload = self.engine.build_workload(self.trace_seed)
+        metrics = MetricsRegistry() if self.collect_metrics else None
+        result = self.engine.run_shard(
+            self.spec.seed,
+            self.spec.trials,
+            slot.workload,
+            label=self.label,
+            metrics=metrics,
+        )
+        return result.to_dict()
 
 
-def _run_replay_shard(
-    task: _ReplayShardTask, workload: Optional[ReplayWorkload] = None
-) -> Tuple[int, Dict[str, Any], ReplayWorkload]:
-    """Run one shard; builds the campaign's workload unless given one."""
-    if workload is None:
-        workload = task.engine.build_workload(task.trace_seed)
-    metrics = MetricsRegistry() if task.collect_metrics else None
-    result = task.engine.run_shard(
-        task.spec.seed,
-        task.spec.trials,
-        workload,
-        label=task.label,
-        metrics=metrics,
-    )
-    return task.spec.index, result.to_dict(), workload
+class ReplayCampaignRunner(ShardedCampaignRunner[ReplayResult]):
+    """Sharded, resumable, multi-process replay campaigns.
 
+    Besides the replay knobs, construction takes the shared execution
+    keywords (``root_seed``, ``workers``, ``checkpoint_path``,
+    ``resume``, ``cancel_hook``, ``time_budget_s``, ... — see
+    :class:`~repro.reliability.parallel.ShardedCampaignRunner`).
+    """
 
-#: A pool worker's copy of its campaign's workload, built by the first
-#: shard it runs; the pool's initializer clears it.
-_worker_workload: Optional[ReplayWorkload] = None
-
-
-def _clear_worker_workload() -> None:
-    global _worker_workload
-    _worker_workload = None
-
-
-def _run_pooled_shard(task: _ReplayShardTask) -> Tuple[int, Dict[str, Any]]:
-    """Pool entry point (module-level so it pickles)."""
-    global _worker_workload
-    index, payload, _worker_workload = _run_replay_shard(
-        task, _worker_workload
-    )
-    return index, payload
-
-
-class ReplayCampaignRunner:
-    """Sharded, resumable, multi-process replay campaigns."""
+    result_type = ReplayResult
 
     def __init__(
         self,
@@ -104,18 +109,13 @@ class ReplayCampaignRunner:
         replay_config: Optional[ReplayConfig] = None,
         perf_config: Optional[PerfConfig] = None,
         *,
-        root_seed: int = 0,
-        workers: int = 1,
         shard_size: int = DEFAULT_REPLAY_SHARD_SIZE,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        resume: bool = False,
         collect_metrics: bool = False,
         label: Optional[str] = None,
+        **execution: Any,
     ) -> None:
-        contracts.require(workers >= 1, "workers must be >= 1, got %r", workers)
-        contracts.require(
-            shard_size > 0, "shard_size must be positive, got %r", shard_size
-        )
+        super().__init__(shard_size=shard_size, **execution)
+        self.pool_initializer = _clear_worker_workload
         self.geometry = geometry
         self.rates = rates
         self.model = model
@@ -129,96 +129,45 @@ class ReplayCampaignRunner:
             geometry, rates, model, self.engine_config, self.replay_config,
             perf_config,
         )
-        self.root_seed = root_seed
-        self.workers = workers
-        self.shard_size = shard_size
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        )
-        self.resume = resume
         self.collect_metrics = collect_metrics
         self.label = label if label is not None else self.engine.scheme_label()
+        self._workload: Optional[_WorkloadSlot] = None
 
-    # ------------------------------------------------------------------ #
     @property
     def trace_seed(self) -> int:
         """Seed of the shared workload trace (shard-independent)."""
         return derive_seed(self.root_seed, "trace")
 
     def run(self, trials: int) -> ReplayResult:
-        """Run (or resume) a ``trials``-trial campaign; returns the merge."""
-        contracts.require(trials >= 0, "trials must be >= 0, got %r", trials)
-        plan = shard_plan(trials, self.shard_size, self.root_seed)
-        checkpoint, completed = open_checkpoint(
-            self.checkpoint_path,
-            self._fingerprint(trials),
-            self.resume,
-            ReplayResult.from_dict,
-        )
-        pending = [shard for shard in plan if shard.index not in completed]
-        if not plan:
-            return ReplayResult.identity()
-        for index, payload in self._shard_results(pending):
-            # Checkpoint the worker's result dict as is, then keep it.
-            if checkpoint is not None:
-                checkpoint.append(index, payload)
-            completed[index] = ReplayResult.from_dict(payload)
-        return ReplayResult.merge_all(
-            completed[shard.index] for shard in plan
-        )
+        """Run (or resume) a ``trials``-trial campaign; returns the merge.
 
-    # ------------------------------------------------------------------ #
-    def _task(self, shard: ShardSpec) -> _ReplayShardTask:
+        ``self.last_report`` carries the campaign bookkeeping.
+        """
+        self._workload = _WorkloadSlot() if self.workers == 1 else None
+        try:
+            return self._drive(trials, self.label)
+        finally:
+            self._workload = None
+
+    def _task(self, spec: ShardSpec) -> _ReplayShardTask:
         return _ReplayShardTask(
-            spec=shard,
+            spec=spec,
+            crash=self.crash_injection,
             engine=self.engine,
             trace_seed=self.trace_seed,
             label=self.label,
             collect_metrics=self.collect_metrics,
+            workload=self._workload,
         )
 
-    def _shard_results(
-        self, pending: List[ShardSpec]
-    ) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        """Run ``pending``; yields ``(index, result dict)`` per shard as it
-        completes."""
-        if self.workers == 1 or len(pending) <= 1:
-            workload = None
-            for shard in pending:
-                index, payload, workload = _run_replay_shard(
-                    self._task(shard), workload
-                )
-                yield index, payload
-            return
-        with ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_clear_worker_workload
-        ) as pool:
-            futures = [
-                pool.submit(_run_pooled_shard, self._task(shard))
-                for shard in pending
-            ]
-            for future in as_completed(futures):
-                yield future.result()
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint identity (same container as the reliability runner)
-    # ------------------------------------------------------------------ #
     def _fingerprint(self, trials: int) -> Dict[str, Any]:
-        engine_config = asdict(self.engine_config)
-        if engine_config.get("thermal_bank_fit") is not None:
-            engine_config["thermal_bank_fit"] = list(
-                engine_config["thermal_bank_fit"]
-            )
-        return {
-            "version": CHECKPOINT_VERSION,
-            "kind": "replay",
-            "root_seed": self.root_seed,
-            "trials": trials,
-            "shard_size": self.shard_size,
-            "label": self.label,
-            "model": self.model.name,
-            "engine_config": engine_config,
-            "replay_config": asdict(self.replay_config),
-            "perf_label": self.engine.perf_config.label(),
-            "rates_tsv_fit": self.rates.tsv_device_fit,
-        }
+        return self._plan_fingerprint(
+            trials,
+            kind="replay",
+            label=self.label,
+            model=self.model.name,
+            engine_config=config_fingerprint(asdict(self.engine_config)),
+            replay_config=asdict(self.replay_config),
+            perf_label=self.engine.perf_config.label(),
+            rates_tsv_fit=self.rates.tsv_device_fit,
+        )

@@ -1,9 +1,11 @@
 """Job model for the campaign service.
 
 A :class:`CampaignSpec` is the validated, *canonical* description of one
-reliability campaign — exactly the knobs ``repro reliability`` exposes
-(scheme, trials, TSV FIT, mitigations, seed, shard size) plus a
-``scale`` divisor for smoke-sized runs and optional geometry overrides.
+campaign — exactly the knobs ``repro reliability`` and ``repro replay``
+expose (scheme, trials, TSV FIT, mitigations, seed, shard size, replay
+workload) plus a ``scale`` divisor for smoke-sized runs and optional
+geometry overrides.  :meth:`CampaignSpec.runner` is the one place a
+campaign runner is built, for the CLI and the service alike.
 Canonicalization matters because the result store is content-addressed:
 two submissions describe *the same campaign* iff their canonical JSON
 documents are byte-identical, so :meth:`CampaignSpec.spec_hash` is the
@@ -31,23 +33,25 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro import contracts
 from repro.errors import SpecError
+from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig
-from repro.reliability.parallel import DEFAULT_SHARD_SIZE
+from repro.reliability.parallel import DEFAULT_SHARD_SIZE, ParallelLifetimeRunner
 from repro.reliability.sampling import SAMPLING_METHODS
-from repro.replay import ReplayConfig
+from repro.replay import ReplayCampaignRunner, ReplayConfig
 from repro.schemes import SCHEMES
 from repro.stack.geometry import StackGeometry
 from repro.workloads.profiles import WORKLOADS
 
 SPEC_SCHEMA_VERSION = 1
 
-#: TSV-Swap stand-by budget implied by the ``citadel`` scheme (the CLI
-#: applies the same default; keeping it here makes service and CLI
-#: submissions of ``citadel`` hash identically).
+#: TSV-Swap stand-by budget implied by the ``citadel`` scheme.  Applied
+#: only in :meth:`CampaignSpec.__post_init__`; the CLI builds its
+#: campaigns from specs too, so service and CLI runs of ``citadel``
+#: hash and run identically.
 CITADEL_DEFAULT_STANDBY_TSVS = 4
 
 #: Geometry override keys a spec may carry (``StackGeometry`` fields).
@@ -84,7 +88,7 @@ SPEC_MODES = ("reliability", "replay")
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Canonical, validated description of one reliability campaign."""
+    """Canonical, validated description of one campaign."""
 
     scheme: str = "citadel"
     trials: int = 20000
@@ -355,8 +359,45 @@ class CampaignSpec:
             raise SpecError(f"malformed campaign spec: {exc}") from exc
 
     # ------------------------------------------------------------------ #
-    # Execution ingredients (shared by service and CLI paths)
+    # Execution (shared by service and CLI paths)
     # ------------------------------------------------------------------ #
+    def runner(
+        self, workers: int = 1, **execution: Any
+    ) -> Union[ParallelLifetimeRunner, ReplayCampaignRunner]:
+        """The runner for this campaign — the only place campaign runners
+        are built from a spec (``repro reliability``/``replay``/``profile``
+        and the service scheduler all call it).
+
+        ``execution`` takes the shared execution keywords
+        (``checkpoint_path``, ``resume``, ``cancel_hook``,
+        ``time_budget_s``, ``progress``, ``trace_path``, ...); like
+        ``workers``, none of them changes the merged result.  Run it with
+        ``runner.run(trials=spec.effective_trials)``.
+        """
+        geometry = self.build_geometry()
+        rates = FailureRates.paper_baseline(tsv_device_fit=self.tsv_fit)
+        model = SCHEMES[self.scheme](geometry)
+        execution.update(
+            root_seed=self.seed, workers=workers, shard_size=self.shard_size
+        )
+        if self.mode == "replay":
+            return ReplayCampaignRunner(
+                geometry,
+                rates,
+                model,
+                EngineConfig(
+                    tsv_swap_standby=self.tsv_swap,
+                    use_dds=self.dds,
+                    scrub_interval_hours=self.scrub_hours,
+                ),
+                self.replay_config(),
+                collect_metrics=self.telemetry,
+                **execution,
+            )
+        return ParallelLifetimeRunner(
+            geometry, rates, model, self.engine_config(), **execution
+        )
+
     def build_geometry(self) -> StackGeometry:
         return StackGeometry(**dict(self.geometry))
 

@@ -1,7 +1,8 @@
 """Campaign scheduler: worker pool, dedupe, retries, fair-share budget.
 
 The scheduler multiplexes submitted jobs onto ``slots`` worker threads,
-each of which drives a :class:`ParallelLifetimeRunner` for one job at a
+each of which drives the runner :meth:`CampaignSpec.runner` builds
+(reliability or replay, on the one shared campaign loop) for one job at a
 time.  The *process* budget is shared fairly: a job is allotted
 ``max(1, process_budget // running_jobs)`` worker processes (capped at
 its own request) when it starts, so two concurrent campaigns on an
@@ -46,12 +47,8 @@ from repro.errors import (
     ServiceError,
     StoreError,
 )
-from repro.faults.rates import FailureRates
-from repro.reliability.montecarlo import EngineConfig
-from repro.reliability.parallel import CampaignReport, ParallelLifetimeRunner
+from repro.reliability.parallel import CampaignReport
 from repro.reliability.results import ReliabilityResult
-from repro.replay import ReplayCampaignRunner
-from repro.schemes import SCHEMES
 from repro.service.jobs import CampaignSpec, Job, JobState
 from repro.service.queue import JobQueue
 from repro.service.store import ResultStore
@@ -482,42 +479,14 @@ class CampaignScheduler:
     ) -> Tuple[Any, Optional[CampaignReport]]:
         if self._executor is not None:
             return self._executor(job.spec, workers, job.cancel_event)
-        spec = job.spec
-        geometry = spec.build_geometry()
-        model = SCHEMES[spec.scheme](geometry)
         checkpoint = self._checkpoint_path(job)
-        if spec.mode == "replay":
-            replay_runner = ReplayCampaignRunner(
-                geometry,
-                FailureRates.paper_baseline(tsv_device_fit=spec.tsv_fit),
-                model,
-                EngineConfig(
-                    tsv_swap_standby=spec.tsv_swap,
-                    use_dds=spec.dds,
-                    scrub_interval_hours=spec.scrub_hours,
-                ),
-                spec.replay_config(),
-                root_seed=spec.seed,
-                workers=workers,
-                shard_size=spec.shard_size,
-                checkpoint_path=checkpoint,
-                resume=checkpoint.exists(),
-                collect_metrics=spec.telemetry,
-            )
-            return replay_runner.run(trials=spec.effective_trials), None
-        runner = ParallelLifetimeRunner(
-            geometry,
-            FailureRates.paper_baseline(tsv_device_fit=spec.tsv_fit),
-            model,
-            spec.engine_config(),
-            root_seed=spec.seed,
-            workers=workers,
-            shard_size=spec.shard_size,
+        runner = job.spec.runner(
+            workers,
             checkpoint_path=checkpoint,
             resume=checkpoint.exists(),
             cancel_hook=job.cancel_event.is_set,
         )
-        merged = runner.run(trials=spec.effective_trials)
+        merged = runner.run(trials=job.spec.effective_trials)
         self._fold_campaign_metrics(runner.last_campaign_metrics)
         return merged, runner.last_report
 

@@ -21,9 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.reliability.batch as batch_mod
 from repro.core.parity3dp import make_3dp
-from repro.errors import ConfigurationError, ContractViolation
+from repro.errors import ContractViolation
 from repro.faults.injector import FaultSpec
 from repro.faults.rates import FailureRates
 from repro.faults.types import FaultKind, Permanence
@@ -277,8 +276,3 @@ class TestDispatch:
     def test_batch_requires_naive_sampling(self):
         with pytest.raises(ContractViolation):
             EngineConfig(batch_trials=True, sampling="stratified")
-
-    def test_missing_numpy_is_loud(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "np", None)
-        with pytest.raises(ConfigurationError):
-            make_batch_runner(self.make_sim())

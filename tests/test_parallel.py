@@ -1,8 +1,8 @@
 """Tests for the parallel sharded Monte-Carlo runner.
 
 Covers the shard plan, worker-count independence, checkpoint/resume
-round-trips, the wall-clock budget, graceful interrupt draining, early
-stopping, and fault tolerance when a worker crashes mid-campaign.
+round-trips, the wall-clock budget, graceful interrupt draining, and
+fault tolerance when a worker crashes mid-campaign.
 """
 
 import json
@@ -15,7 +15,6 @@ from repro.errors import CheckpointError, ContractViolation
 from repro.faults.rates import FailureRates
 from repro.reliability import (
     CrashInjection,
-    EarlyStopPolicy,
     ParallelLifetimeRunner,
     ReliabilityResult,
     shard_plan,
@@ -242,36 +241,6 @@ class TestInterrupt:
             geometry, workers=1, checkpoint_path=cp, resume=True
         ).run(trials=TRIALS)
         assert resumed == make_runner(geometry, workers=1).run(trials=TRIALS)
-
-
-class TestEarlyStop:
-    POLICY = EarlyStopPolicy(rel_halfwidth=0.9, min_failures=3)
-
-    def test_stops_on_prefix_and_is_deterministic(self, geometry):
-        serial = make_runner(
-            geometry, workers=1, shard_size=100, early_stop=self.POLICY
-        )
-        pooled = make_runner(
-            geometry, workers=2, shard_size=100, early_stop=self.POLICY
-        )
-        a = serial.run(trials=4000)
-        b = pooled.run(trials=4000)
-        assert serial.last_report.stopped_early
-        assert a == b
-        assert a.trials < 4000
-        # An early stop is a deliberate decision, not a partial failure.
-        assert not serial.last_report.partial
-
-    def test_policy_requires_failure_floor(self):
-        tight = EarlyStopPolicy(rel_halfwidth=0.5, min_failures=10)
-        few = ReliabilityResult(
-            scheme_name="x", trials=1000, failures=2, stratum_weight=1.0
-        )
-        assert not tight.satisfied(few)
-
-    def test_policy_validates_parameters(self):
-        with pytest.raises(ContractViolation):
-            EarlyStopPolicy(rel_halfwidth=0.0)
 
 
 class TestStoppingResume:

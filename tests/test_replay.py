@@ -17,6 +17,7 @@ from repro.errors import CheckpointError, MergeError, SpecError
 from repro.faults.injector import FaultInjector, ThermalFaultInjector
 from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig, LifetimeSimulator
+from repro.reliability.parallel import CrashInjection
 from repro.replay import (
     DEFAULT_REPLAY_SHARD_SIZE,
     FaultTimeline,
@@ -446,21 +447,25 @@ class TestSharedWorkload:
     def test_pool_worker_keeps_one_workload_until_cleared(
         self, geom, work_counts
     ):
-        from repro.replay import runner as runner_module
-        from repro.reliability.parallel import shard_plan
+        from dataclasses import replace
 
+        from repro.replay import runner as runner_module
+        from repro.reliability.parallel import _run_shard, shard_plan
+
+        # Outside run() a task carries no slot: it uses the worker's.
         runner = make_runner(geom)
         tasks = [runner._task(spec) for spec in shard_plan(6, 2, 42)]
         runner_module._clear_worker_workload()
         try:
-            pooled = [runner_module._run_pooled_shard(t) for t in tasks]
+            pooled = [_run_shard(t)[:2] for t in tasks]
             assert work_counts == {"traces": 1, "runs": 1 + 6}
-            runner_module._clear_worker_workload()
-            runner_module._run_pooled_shard(tasks[0])
+            runner.pool_initializer()
+            _run_shard(tasks[0])
             assert work_counts["traces"] == 2
         finally:
             runner_module._clear_worker_workload()
-        serial = [runner_module._run_replay_shard(t)[:2] for t in tasks]
+        slot = runner_module._WorkloadSlot()
+        serial = [_run_shard(replace(t, workload=slot))[:2] for t in tasks]
         assert pooled == serial
 
     # Serial runs of both pinned campaigns are checked by
@@ -484,6 +489,41 @@ class TestSharedWorkload:
         assert campaign_bytes(resumed) == pinned_bytes("plain")
         # Two shards of two trials left: one baseline, four trials.
         assert work_counts == {"traces": 1, "runs": 5}
+
+
+# ---------------------------------------------------------------------- #
+# The shared campaign loop: crash containment and cancellation for replay
+# ---------------------------------------------------------------------- #
+class TestReplayCampaignLoop:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_crashed_shard_is_contained(self, geom, workers):
+        runner = pinned_campaign(
+            geom, workers=workers,
+            crash_injection=CrashInjection(raise_on=frozenset({1})),
+        )
+        result = runner.run(6)
+        report = runner.last_report
+        assert report.failed_shards == [1]
+        assert report.partial
+        assert result.trials == 4
+
+    def test_cancel_after_first_shard_then_resume(self, geom, tmp_path):
+        ckpt = tmp_path / "replay.ckpt"
+
+        def shard_recorded():
+            return len(ckpt.read_text().splitlines()) > 1
+
+        runner = pinned_campaign(
+            geom, checkpoint_path=ckpt, cancel_hook=shard_recorded
+        )
+        partial = runner.run(6)
+        assert runner.last_report.cancelled
+        assert runner.last_report.merged_shards == 1
+        assert partial.trials == 2
+        resumed = pinned_campaign(
+            geom, checkpoint_path=ckpt, resume=True
+        ).run(6)
+        assert campaign_bytes(resumed) == pinned_bytes("plain")
 
 
 # ---------------------------------------------------------------------- #

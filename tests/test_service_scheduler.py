@@ -491,3 +491,56 @@ class TestWipCheckpoints:
             assert not stale.exists()
         finally:
             scheduler.shutdown()
+
+
+class TestReplayJobs:
+    """Replay jobs run on the same campaign loop as reliability jobs, so the
+    scheduler's cancel hook reaches them too."""
+
+    SPEC = dict(
+        scheme="citadel", trials=6, mode="replay", workload="zipfian",
+        requests=64, replay_cores=2, shard_size=2,
+    )
+
+    def test_running_replay_job_cancels_and_keeps_checkpoint(
+        self, store, monkeypatch
+    ):
+        from repro.replay.engine import ReplayEngine
+
+        entered, cancelled = threading.Event(), threading.Event()
+        run_shard = ReplayEngine.run_shard
+
+        def gated(self, *args, **kwargs):
+            result = run_shard(self, *args, **kwargs)
+            entered.set()
+            assert cancelled.wait(timeout=WAIT_S)
+            return result
+
+        monkeypatch.setattr(ReplayEngine, "run_shard", gated)
+        spec = CampaignSpec(**self.SPEC)
+        scheduler = make_scheduler(store, None, slots=1).start()
+        try:
+            job = scheduler.submit(spec)
+            assert entered.wait(timeout=WAIT_S)
+            assert job.state is JobState.RUNNING
+            scheduler.cancel(job.id)
+            cancelled.set()
+            wait_terminal(scheduler, job)
+            assert job.state is JobState.CANCELLED
+            assert not store.contains(spec)
+            wip = store.root / "wip" / f"{spec.spec_hash()}.ckpt.json"
+            header, *shards = wip.read_text().splitlines()
+            assert len(shards) == 1
+            # Resubmitted, the job resumes from that checkpoint and
+            # matches an uninterrupted direct run.
+            monkeypatch.setattr(ReplayEngine, "run_shard", run_shard)
+            again = scheduler.submit(spec)
+            wait_terminal(scheduler, again, timeout_s=120.0)
+            assert again.state is JobState.DONE
+            assert not wip.exists()
+            direct = spec.runner().run(trials=spec.effective_trials)
+            assert json.dumps(
+                scheduler.result(again.id).to_dict(), sort_keys=True
+            ) == json.dumps(direct.to_dict(), sort_keys=True)
+        finally:
+            scheduler.shutdown()

@@ -242,7 +242,7 @@ class TestSamplingSidecar:
     trial-reduction sidecar dropped by bench_sampling_speedup."""
 
     def _sidecar(self, tmp_path, **overrides):
-        from tools.bench_report import check_sampling_sidecar
+        from tools.bench_report import SIDECARS, check_sidecar
 
         payload = {
             "bench": "sampling_speedup",
@@ -255,12 +255,12 @@ class TestSamplingSidecar:
         (tmp_path / "bench_sampling_speedup.json").write_text(
             json.dumps(payload)
         )
-        return check_sampling_sidecar(tmp_path)
+        return check_sidecar(tmp_path, SIDECARS["sampling"])
 
     def test_absent_sidecar_passes(self, tmp_path):
-        from tools.bench_report import check_sampling_sidecar
+        from tools.bench_report import SIDECARS, check_sidecar
 
-        assert check_sampling_sidecar(tmp_path) == 0
+        assert check_sidecar(tmp_path, SIDECARS["sampling"]) == 0
 
     def test_healthy_sidecar_passes(self, tmp_path, capsys):
         assert self._sidecar(tmp_path) == 0
@@ -277,3 +277,48 @@ class TestSamplingSidecar:
     def test_mangled_sidecar_fails(self, tmp_path, capsys):
         assert self._sidecar(tmp_path, trial_reduction="not-a-number") == 1
         assert "unreadable" in capsys.readouterr().err
+
+
+#: Per outcome: the sidecar fields a healthy file gets overridden with
+#: (None: no file at all) and the expected exit code.
+SIDECAR_OUTCOMES = {
+    "absent": (None, 0),
+    "pass": ({}, 0),
+    "below_floor": ({"metric_key": 0.5}, 1),
+    "identity_false": ({"identity_key": False}, 1),
+    "unreadable": ({"metric_key": "not-a-number"}, 1),
+}
+
+
+class TestBenchSidecars:
+    """One table-driven checker covers every bench sidecar: absent or
+    healthy passes; below the floor, a false identity flag or an
+    unreadable file fails."""
+
+    @pytest.mark.parametrize("outcome", sorted(SIDECAR_OUTCOMES))
+    @pytest.mark.parametrize(
+        "bench", ["batch", "hotpath", "replay", "sampling"]
+    )
+    def test_outcome(self, tmp_path, capsys, bench, outcome):
+        from tools.bench_report import SIDECARS, check_sidecar
+
+        sidecar = SIDECARS[bench]
+        spoil, code = SIDECAR_OUTCOMES[outcome]
+        if spoil is not None:
+            payload = {
+                sidecar.metric_key: 100.0,
+                sidecar.floor_key: 1.0,
+                sidecar.identity_key: True,
+            }
+            payload.update(
+                {getattr(sidecar, key): value for key, value in spoil.items()}
+            )
+            (tmp_path / sidecar.file).write_text(json.dumps(payload))
+        assert check_sidecar(tmp_path, sidecar) == code
+        expected = {
+            "pass": f"{sidecar.name} ",
+            "below_floor": f"{sidecar.name} regressed to",
+            "identity_false": sidecar.identity_message,
+            "unreadable": "unreadable",
+        }.get(outcome, "")
+        assert expected in capsys.readouterr().err

@@ -22,22 +22,17 @@ registry snapshot) plus a deterministic quantile summary
 so latency-shaped distributions are trendable without wall-clock
 values entering the artifact.
 
-``bench_engine_hotpath`` additionally drops a timing sidecar at
-``<results-dir>/hotpath_speedup.json``.  Wall-clock numbers never enter
-the BENCH artifact (that would break its determinism); instead this tool
-re-checks the sidecar's measured speedup against its recorded threshold
-and fails the build when the incremental hot path has regressed.
-``bench_sampling_speedup`` drops ``bench_sampling_speedup.json`` the
-same way: its importance-vs-naive trial-reduction factor is re-checked
-against the recorded floor here, so a variance regression in the
-sampler fails the build even if the bench assertion itself is skipped.
-``bench_replay_throughput`` drops ``bench_replay_throughput.json``:
-its replayed-requests/sec number is re-checked against the recorded
-floor (and its worker-identity flag re-asserted) the same way.
-The batch-kernel leg of ``bench_engine_hotpath`` drops
-``batch_speedup.json``: its batch-vs-scalar serial speedup is re-checked
-against the recorded floor, and its byte-identity flag re-asserted, so a
-batch-path perf or exactness regression fails the build.
+Benches with a wall-clock claim also drop a timing sidecar next to the
+metrics: ``hotpath_speedup.json`` (incremental hot path),
+``bench_sampling_speedup.json`` (importance-sampling trial reduction),
+``bench_replay_throughput.json`` (replayed requests/s) and
+``batch_speedup.json`` (batch kernel vs scalar loop).  Wall-clock
+numbers never enter the BENCH artifact (that would break its
+determinism); instead :data:`SIDECARS` names each sidecar's measured
+figure, its recorded floor and its identity flag (identical or
+consistent results), and :func:`check_sidecar` re-checks them, so a
+perf or exactness regression fails the build even if the bench
+assertion itself was skipped.
 """
 
 from __future__ import annotations
@@ -45,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict
 
@@ -85,139 +81,85 @@ def build_report(metrics_dir: Path) -> Dict[str, Any]:
     }
 
 
-def check_hotpath_sidecar(results_dir: Path) -> int:
-    """Enforce the engine hot-path speedup floor, if the bench ran.
+@dataclass(frozen=True)
+class Sidecar:
+    """One bench's timing sidecar and how to re-check it."""
+
+    #: File name under the results directory.
+    file: str
+    #: Measured figure, the floor it must meet, and the flag that must
+    #: hold (identical or consistent results).
+    metric_key: str
+    floor_key: str
+    identity_key: str
+    #: Name of the measured figure in the report line.
+    name: str
+    #: Formats of the measured figure and of its floor.
+    value_format: str
+    floor_format: str
+    #: Why the run fails when the identity flag is false.
+    identity_message: str
+
+
+#: Every sidecar a bench drops, keyed by bench.
+SIDECARS: Dict[str, Sidecar] = {
+    "hotpath": Sidecar(
+        "hotpath_speedup.json", "speedup", "threshold", "results_identical",
+        "hotpath speedup", "{:.2f}x", "threshold {:.1f}x",
+        "hotpath bench reported non-identical results",
+    ),
+    "sampling": Sidecar(
+        "bench_sampling_speedup.json", "trial_reduction", "threshold",
+        "estimates_consistent",
+        "sampling trial reduction", "{:.1f}x", "threshold {:.1f}x",
+        "importance and naive estimates disagree beyond combined "
+        "uncertainty",
+    ),
+    "replay": Sidecar(
+        "bench_replay_throughput.json", "requests_per_sec", "threshold",
+        "results_identical",
+        "replay throughput", "{:.0f} req/s", "floor {:.0f} req/s",
+        "replay bench reported worker-count-dependent results",
+    ),
+    "batch": Sidecar(
+        "batch_speedup.json", "speedup", "threshold", "results_identical",
+        "batch kernel speedup", "{:.2f}x", "threshold {:.1f}x",
+        "batch bench reported results diverging from the scalar engine",
+    ),
+}
+
+
+def check_sidecar(results_dir: Path, sidecar: Sidecar) -> int:
+    """Enforce one bench's floor, if the bench ran.
 
     Returns 0 when the sidecar is absent (the bench did not run) or the
-    measured speedup meets its threshold; 1 on regression or a mangled
-    sidecar.
+    measured figure meets its floor with the identity flag set; 1 when
+    it falls below the floor, the flag is false, or the file is
+    unreadable.
     """
-    sidecar = results_dir / "hotpath_speedup.json"
-    if not sidecar.is_file():
+    path = results_dir / sidecar.file
+    if not path.is_file():
         return 0
     try:
-        data = json.loads(sidecar.read_text())
-        speedup = float(data["speedup"])
-        threshold = float(data["threshold"])
-        identical = bool(data["results_identical"])
+        data = json.loads(path.read_text())
+        value = float(data[sidecar.metric_key])
+        floor = float(data[sidecar.floor_key])
+        holds = bool(data[sidecar.identity_key])
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"bench_report: unreadable hotpath sidecar {sidecar}: {exc}",
+        print(f"bench_report: unreadable sidecar {path}: {exc}",
               file=sys.stderr)
         return 1
-    if not identical:
-        print("bench_report: hotpath bench reported non-identical results",
-              file=sys.stderr)
+    if not holds:
+        print(f"bench_report: {sidecar.identity_message}", file=sys.stderr)
         return 1
-    if speedup < threshold:
-        print(f"bench_report: incremental hot path regressed to "
-              f"{speedup:.2f}x (threshold {threshold:.1f}x)",
-              file=sys.stderr)
+    measured = sidecar.value_format.format(value)
+    bound = sidecar.floor_format.format(floor)
+    if value < floor:
+        print(f"bench_report: {sidecar.name} regressed to {measured} "
+              f"({bound})", file=sys.stderr)
         return 1
-    print(f"bench_report: hotpath speedup {speedup:.2f}x "
-          f"(threshold {threshold:.1f}x)", file=sys.stderr)
-    return 0
-
-
-def check_sampling_sidecar(results_dir: Path) -> int:
-    """Enforce the importance-sampling trial-reduction floor, if the
-    sampling bench ran.
-
-    Returns 0 when the sidecar is absent or the measured reduction meets
-    its recorded threshold with consistent estimates; 1 on regression,
-    estimator disagreement, or a mangled sidecar.
-    """
-    sidecar = results_dir / "bench_sampling_speedup.json"
-    if not sidecar.is_file():
-        return 0
-    try:
-        data = json.loads(sidecar.read_text())
-        reduction = float(data["trial_reduction"])
-        threshold = float(data["threshold"])
-        consistent = bool(data["estimates_consistent"])
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"bench_report: unreadable sampling sidecar {sidecar}: {exc}",
-              file=sys.stderr)
-        return 1
-    if not consistent:
-        print("bench_report: importance and naive estimates disagree "
-              "beyond combined uncertainty", file=sys.stderr)
-        return 1
-    if reduction < threshold:
-        print(f"bench_report: importance sampling trial reduction fell to "
-              f"{reduction:.1f}x (threshold {threshold:.1f}x)",
-              file=sys.stderr)
-        return 1
-    print(f"bench_report: sampling trial reduction {reduction:.1f}x "
-          f"(threshold {threshold:.1f}x)", file=sys.stderr)
-    return 0
-
-
-def check_replay_sidecar(results_dir: Path) -> int:
-    """Enforce the replay-engine throughput floor, if the replay bench
-    ran.
-
-    Returns 0 when the sidecar is absent or the measured requests/sec
-    meets the recorded floor with worker-identical results; 1 on a
-    throughput regression, a worker-identity break, or a mangled
-    sidecar.
-    """
-    sidecar = results_dir / "bench_replay_throughput.json"
-    if not sidecar.is_file():
-        return 0
-    try:
-        data = json.loads(sidecar.read_text())
-        throughput = float(data["requests_per_sec"])
-        threshold = float(data["threshold"])
-        identical = bool(data["results_identical"])
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"bench_report: unreadable replay sidecar {sidecar}: {exc}",
-              file=sys.stderr)
-        return 1
-    if not identical:
-        print("bench_report: replay bench reported worker-count-dependent "
-              "results", file=sys.stderr)
-        return 1
-    if throughput < threshold:
-        print(f"bench_report: replay throughput regressed to "
-              f"{throughput:.0f} req/s (floor {threshold:.0f} req/s)",
-              file=sys.stderr)
-        return 1
-    print(f"bench_report: replay throughput {throughput:.0f} req/s "
-          f"(floor {threshold:.0f} req/s)", file=sys.stderr)
-    return 0
-
-
-def check_batch_sidecar(results_dir: Path) -> int:
-    """Enforce the batch-kernel speedup floor, if the batch bench ran.
-
-    Returns 0 when the sidecar is absent (the bench did not run) or the
-    measured batch-vs-scalar speedup meets its threshold with
-    byte-identical results; 1 on regression, an identity break, or a
-    mangled sidecar.
-    """
-    sidecar = results_dir / "batch_speedup.json"
-    if not sidecar.is_file():
-        return 0
-    try:
-        data = json.loads(sidecar.read_text())
-        speedup = float(data["speedup"])
-        threshold = float(data["threshold"])
-        identical = bool(data["results_identical"])
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"bench_report: unreadable batch sidecar {sidecar}: {exc}",
-              file=sys.stderr)
-        return 1
-    if not identical:
-        print("bench_report: batch bench reported results diverging from "
-              "the scalar engine", file=sys.stderr)
-        return 1
-    if speedup < threshold:
-        print(f"bench_report: batch trial kernel regressed to "
-              f"{speedup:.2f}x over the scalar loop "
-              f"(threshold {threshold:.1f}x)", file=sys.stderr)
-        return 1
-    print(f"bench_report: batch kernel speedup {speedup:.2f}x "
-          f"(threshold {threshold:.1f}x)", file=sys.stderr)
+    print(f"bench_report: {sidecar.name} {measured} ({bound})",
+          file=sys.stderr)
     return 0
 
 
@@ -248,10 +190,8 @@ def main(argv=None) -> int:
     print(f"bench_report: wrote {args.out} "
           f"({len(report['sources'])} source(s))", file=sys.stderr)
     return max(
-        check_hotpath_sidecar(Path(args.results_dir)),
-        check_sampling_sidecar(Path(args.results_dir)),
-        check_replay_sidecar(Path(args.results_dir)),
-        check_batch_sidecar(Path(args.results_dir)),
+        check_sidecar(Path(args.results_dir), sidecar)
+        for sidecar in SIDECARS.values()
     )
 
 
