@@ -33,29 +33,11 @@ Self-aliasing rules per dimension:
   the same for ``(bank, col)`` groups.
 
 ``ParityND`` generalizes to the 1DP/2DP ablations of Figure 14.
-
-Incremental peeling
--------------------
-
-Each peeling round evaluates every live fault against the round's
-*starting* set (survivors are collected separately), so peeling is
-order-independent and decomposes exactly over the connected components
-of the "aliases in some enabled dimension" graph: a component peels the
-same way alone as inside the full set.  The incremental kernel
-(``begin_trial``/``observe``/``rebuild``) therefore keeps the live set
-as peeled components — members, survivors, peel events — and an arrival
-only merges and re-peels the components it aliases with; untouched
-components keep their cached outcome.  A per-trial peel cache keyed on
-the component's membership signature (frozen set of fault uids) lets
-post-scrub rebuilds reuse outcomes for re-formed components.  Both paths
-report identical verdicts and identical ``parity/*`` counters; reuse is
-surfaced via the volatile ``parity/peel_reuse`` counter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,26 +47,10 @@ from repro.ecc.base import CorrectionModel
 from repro.errors import ConfigurationError
 from repro.faults.types import Fault
 from repro.stack.geometry import StackGeometry
-from repro.telemetry.registry import MetricsRegistry
-
-
-@dataclass
-class _PeeledComponent:
-    """A connected component of the alias graph with its peel outcome."""
-
-    members: Tuple[Fault, ...]
-    survivors: Tuple[Fault, ...]
-    #: metric name -> peel-event count for this component's decode.
-    events: Dict[str, int]
-    #: Union of the members' die / bank occupancy (merge pre-filter).
-    dies: Set[int]
-    banks: Set[int]
 
 
 class ParityND(CorrectionModel):
     """N-dimensional parity with peeling correction (1DP/2DP/3DP)."""
-
-    incremental_kernel = True
 
     def __init__(
         self,
@@ -100,10 +66,6 @@ class ParityND(CorrectionModel):
         self.dimensions = dims
         self._sorted_dims = sorted(dims)
         self.parity_bank = (geometry.data_dies - 1, geometry.banks_per_die - 1)
-        self._inc_components: List[_PeeledComponent] = []
-        self._peel_cache: Dict[
-            FrozenSet[int], Tuple[Tuple[Fault, ...], Dict[str, int]]
-        ] = {}
 
     @property
     def name(self) -> str:
@@ -189,8 +151,7 @@ class ParityND(CorrectionModel):
         """Iterative peeling of ``live``; returns (survivors, events).
 
         Every round evaluates each fault against the round's starting
-        set, so the outcome is independent of fault order and decomposes
-        over alias-graph components (the incremental kernel's invariant).
+        set, so the outcome is independent of fault order.
         """
         events: Dict[str, int] = {}
         changed = True
@@ -228,9 +189,6 @@ class ParityND(CorrectionModel):
             ):
                 return dim
         return None
-
-    def _peelable(self, fault: Fault, others: Sequence[Fault]) -> bool:
-        return self._peel_dimension(fault, others) is not None
 
     # ------------------------------------------------------------------ #
     def _self_alias(self, fault: Fault, dim: int) -> bool:
@@ -280,177 +238,6 @@ class ParityND(CorrectionModel):
             and fa.rows.is_singleton()
         )
         return not same_single_bit
-
-    def _alias_any(self, a: Fault, b: Fault) -> bool:
-        """Edge predicate of the component graph: alias in any enabled dim."""
-        return any(self._alias(a, b, dim) for dim in self._sorted_dims)
-
-    # ------------------------------------------------------------------ #
-    # Incremental peeling kernel
-    # ------------------------------------------------------------------ #
-    def begin_trial(self) -> None:
-        self._inc_live = []
-        self._inc_components = []
-        self._peel_cache = {}
-
-    def observe(self, fault: Fault) -> bool:
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.inc("parity/checks")
-        reused = 0
-        if self._is_peeling_fault(fault):
-            self._inc_live.append(fault)
-            reused = self._absorb(fault)
-        else:
-            # Metadata-only fault: the peeled structure is untouched.
-            reused = len(self._inc_components)
-        if metrics is not None and reused:
-            metrics.inc("parity/peel_reuse", reused, volatile=True)
-        return self._emit_verdict(metrics)
-
-    def rebuild(self, live: Sequence[Fault]) -> None:
-        """Resynchronise the component structure after scrub/DDS edits.
-
-        Removals only ever *split* existing components (the alias graph
-        loses edges), so each old component is re-partitioned in
-        isolation; fully intact components — and split parts whose
-        membership signature is in the peel cache — reuse their peel
-        outcome.  DDS re-exposure can also *add* back faults observed
-        earlier in the trial; those merge in exactly like arrivals.
-        """
-        data = [f for f in live if self._is_peeling_fault(f)]
-        kept = {f.uid for f in data}
-        represented: Set[int] = set()
-        reused = 0
-        next_components: List[_PeeledComponent] = []
-        for comp in self._inc_components:
-            member_uids = [m.uid for m in comp.members]
-            represented.update(u for u in member_uids if u in kept)
-            if all(u in kept for u in member_uids):
-                next_components.append(comp)
-                reused += 1
-                continue
-            remaining = [m for m in comp.members if m.uid in kept]
-            for part in self._split_members(remaining):
-                part_comp, cache_hit = self._component_from(part)
-                next_components.append(part_comp)
-                if cache_hit:
-                    reused += 1
-        self._inc_components = next_components
-        self._inc_live = list(data)
-        for fault in data:
-            if fault.uid not in represented:
-                self._absorb(fault)  # DDS re-exposed an earlier arrival
-        metrics = self.metrics
-        if metrics is not None and reused:
-            metrics.inc("parity/peel_reuse", reused, volatile=True)
-
-    # ------------------------------------------------------------------ #
-    def _absorb(self, fault: Fault) -> int:
-        """Merge ``fault`` into the component structure; re-peels only the
-        merged component.  Returns the number of untouched components."""
-        touched: List[_PeeledComponent] = []
-        untouched: List[_PeeledComponent] = []
-        for comp in self._inc_components:
-            if self._touches(fault, comp):
-                touched.append(comp)
-            else:
-                untouched.append(comp)
-        members = [m for comp in touched for m in comp.members]
-        members.append(fault)
-        members.sort(key=lambda f: f.uid)
-        merged, _ = self._component_from(members)
-        untouched.append(merged)
-        self._inc_components = untouched
-        return len(untouched) - 1
-
-    def _touches(self, fault: Fault, comp: _PeeledComponent) -> bool:
-        fp = fault.footprint
-        dims = self.dimensions
-        if 1 not in dims and not (
-            (2 in dims and fp.dies & comp.dies)
-            or (3 in dims and fp.banks & comp.banks)
-        ):
-            # Dims 2/3 alias only within a shared die/bank; without dim 1
-            # (whose (row, col) groups span the whole stack) the component
-            # occupancy rules the merge out without a member scan.
-            return False
-        return any(self._alias_any(fault, member) for member in comp.members)
-
-    def _component_from(
-        self, members: Sequence[Fault]
-    ) -> Tuple[_PeeledComponent, bool]:
-        """Build (or fetch from the peel cache) a peeled component."""
-        ordered = sorted(members, key=lambda f: f.uid)
-        signature = frozenset(f.uid for f in ordered)
-        cached = self._peel_cache.get(signature)
-        if cached is not None:
-            survivors, events = cached
-            cache_hit = True
-        else:
-            peeled, peel_events = self._peel(list(ordered))
-            survivors = tuple(peeled)
-            events = peel_events
-            self._peel_cache[signature] = (survivors, events)
-            cache_hit = False
-        dies: Set[int] = set()
-        banks: Set[int] = set()
-        for member in ordered:
-            dies.update(member.footprint.dies)
-            banks.update(member.footprint.banks)
-        component = _PeeledComponent(
-            members=tuple(ordered),
-            survivors=survivors,
-            events=events,
-            dies=dies,
-            banks=banks,
-        )
-        return component, cache_hit
-
-    def _split_members(
-        self, members: Sequence[Fault]
-    ) -> List[List[Fault]]:
-        """Connected components of the alias graph restricted to ``members``."""
-        remaining = list(members)
-        parts: List[List[Fault]] = []
-        while remaining:
-            part = [remaining.pop()]
-            frontier = [part[0]]
-            while frontier:
-                current = frontier.pop()
-                still_out: List[Fault] = []
-                for other in remaining:
-                    if self._alias_any(current, other):
-                        part.append(other)
-                        frontier.append(other)
-                    else:
-                        still_out.append(other)
-                remaining = still_out
-            parts.append(sorted(part, key=lambda f: f.uid))
-        return parts
-
-    def _emit_verdict(self, metrics: Optional[MetricsRegistry]) -> bool:
-        """Re-emit the standing counters and return the verdict.
-
-        The from-scratch path re-counts every peel event of the current
-        live set on each ``is_uncorrectable`` call; emitting each
-        component's cached events here keeps the two paths' ``parity/*``
-        counters identical call-for-call.
-        """
-        survivor_kinds: List[str] = []
-        uncorrectable = False
-        for comp in self._inc_components:
-            if metrics is not None:
-                for event_name, count in comp.events.items():
-                    metrics.inc(event_name, count)
-            if comp.survivors:
-                uncorrectable = True
-                survivor_kinds.extend(f.kind.value for f in comp.survivors)
-        if metrics is not None and uncorrectable:
-            metrics.inc("parity/uncorrectable")
-            cause = "+".join(sorted(survivor_kinds))
-            metrics.inc(f"parity/uncorrectable_cause/{cause}")
-        return uncorrectable
 
 
 class ParityPeelBatchKernel(batch_kernels.BatchCorrectionKernel):

@@ -10,18 +10,19 @@ Models also report ``min_faults_to_fail``, the smallest number of
 simultaneous faults that can possibly defeat them, which the engine uses
 for stratified sampling of rare failures.
 
-Incremental protocol: calling ``is_uncorrectable`` on the whole live set
-after *every* arrival makes a trial quadratic-to-cubic in its fault
-count, so models may additionally maintain incremental state across one
-trial via ``begin_trial`` / ``observe`` / ``rebuild``.  The base class
-provides a from-scratch fallback with identical verdicts; models that
-implement a real kernel set ``incremental_kernel = True`` so the engine
-can count fast-path arrivals.
+The engine asks ``is_uncorrectable`` about the whole live set after
+every arrival; models keep no state across a trial.  At the paper's
+fault rates a trial sees only 2-4 faults, and this from-scratch check
+costs 0.83-1.10x what the incremental kernels it replaced did
+(DESIGN.md §11).  :class:`PairwiseModel` is the shared form of the
+schemes whose verdict is a disjunction of single-fault and fault-pair
+predicates.
 """
 
 from __future__ import annotations
 
 import abc
+import itertools
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -43,17 +44,8 @@ class CorrectionModel(abc.ABC):
     #: set — no RNG, no clock — so metrics merge deterministically.
     metrics: Optional[MetricsRegistry] = None
 
-    #: True for models whose ``observe`` is a real incremental kernel
-    #: (amortised cost below a from-scratch ``is_uncorrectable`` pass).
-    #: The engine counts arrivals handled by such kernels under the
-    #: volatile ``engine/incremental_hits`` counter.
-    incremental_kernel: bool = False
-
     def __init__(self, geometry: StackGeometry) -> None:
         self.geometry = geometry
-        #: Live faults folded in since the last ``begin_trial``/``rebuild``
-        #: (the fallback state; kernels may keep richer indices beside it).
-        self._inc_live: List[Fault] = []
 
     @property
     @abc.abstractmethod
@@ -70,42 +62,6 @@ class CorrectionModel(abc.ABC):
         Conservative default: a single fault may be fatal.
         """
         return 1
-
-    # ------------------------------------------------------------------ #
-    # Incremental correctability protocol
-    # ------------------------------------------------------------------ #
-    # Contract (the engine and the differential tests rely on it):
-    #
-    # * ``begin_trial`` resets all incremental state;
-    # * ``observe(fault)`` folds one arrival in and returns exactly what
-    #   ``is_uncorrectable`` would return for the set of faults observed
-    #   since the last ``begin_trial``/``rebuild`` — the verdict, not an
-    #   approximation;
-    # * ``rebuild(live)`` resynchronises the state after a scrub/sparing
-    #   pass changed the live set out from under the model.  ``live`` may
-    #   be any sub- or superset of the current state as long as every
-    #   fault in it was ``observe``-d earlier in the trial (DDS can
-    #   re-expose previously spared faults).  ``rebuild`` returns no
-    #   verdict: from-scratch engine semantics only consult the model at
-    #   arrivals, so a live set left uncorrectable by sparing is reported
-    #   at the next ``observe``.
-    def begin_trial(self) -> None:
-        """Reset incremental state at the start of a lifetime trial."""
-        self._inc_live = []
-
-    def observe(self, fault: Fault) -> bool:
-        """Fold one fault arrival in; return the post-arrival verdict.
-
-        Fallback implementation: append and re-run ``is_uncorrectable``
-        from scratch (identical verdicts, no speedup).
-        """
-        self._inc_live.append(fault)
-        return self.is_uncorrectable(self._inc_live)
-
-    def rebuild(self, live: Sequence[Fault]) -> None:
-        """Resynchronise incremental state with an externally-edited
-        live set (post-scrub transient removal, DDS sparing/re-exposure)."""
-        self._inc_live = list(live)
 
     def batch_kernel(self) -> Optional["BatchCorrectionKernel"]:
         """An array-shaped correctability kernel for the batch trial path.
@@ -125,6 +81,32 @@ class CorrectionModel(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}: {self.name}>"
+
+
+class PairwiseModel(CorrectionModel):
+    """A model whose live set is fatal iff some fault is fatal alone or
+    some unordered pair of faults is jointly fatal.
+
+    SECDED, 2D-ECC, RAID-5 and the symbol code supply the two predicates;
+    ``_fatal_pair`` must be symmetric.
+    """
+
+    @abc.abstractmethod
+    def _fatal_alone(self, fault: Fault) -> bool:
+        """True iff ``fault`` alone causes data loss."""
+
+    @abc.abstractmethod
+    def _fatal_pair(self, a: Fault, b: Fault) -> bool:
+        """True iff ``a`` and ``b`` together cause data loss."""
+
+    def is_uncorrectable(self, faults: Sequence[Fault]) -> bool:
+        for fault in faults:
+            if self._fatal_alone(fault):
+                return True
+        for a, b in itertools.combinations(faults, 2):
+            if self._fatal_pair(a, b):
+                return True
+        return False
 
 
 # ---------------------------------------------------------------------- #

@@ -235,7 +235,7 @@ class PairwiseBatchKernel(BatchCorrectionKernel):
 
     A trial survives when no single fault is fatal alone and no possibly-
     co-live pair is fatal together — the vectorized mirror of
-    ``IncrementalPairwiseModel``'s monotone verdict.
+    :class:`~repro.ecc.base.PairwiseModel`'s verdict.
     """
 
     def __init__(self, geometry: StackGeometry) -> None:

@@ -22,23 +22,15 @@ the subarray failure mode.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.ecc.incremental import FaultBuckets, IncrementalPairwiseModel
+from repro.ecc.base import PairwiseModel
 from repro.faults.types import Fault, FaultKind
-from repro.stack.geometry import StackGeometry
 
 
-class TwoDimECC(IncrementalPairwiseModel):
+class TwoDimECC(PairwiseModel):
     """In-bank horizontal + vertical coding (2D-ECC)."""
 
     #: Correction tile of the 2D code (32x32 cells, §VIII-E).
     TILE = 32
-
-    def __init__(self, geometry: StackGeometry) -> None:
-        super().__init__(geometry)
-        # Fatal pairs need a shared die (and bank): test die-mates only.
-        self._die_index = FaultBuckets("dies")
 
     @property
     def name(self) -> str:
@@ -71,12 +63,3 @@ class TwoDimECC(IncrementalPairwiseModel):
         if not (fa.dies & fb.dies and fa.banks & fb.banks):
             return False
         return fa.rows.intersects(fb.rows) or fa.cols.intersects(fb.cols)
-
-    def _pair_candidates(self, fault: Fault) -> List[Fault]:
-        return self._die_index.candidates(fault)
-
-    def _index_reset(self) -> None:
-        self._die_index.clear()
-
-    def _index_add(self, fault: Fault) -> None:
-        self._die_index.add(fault)

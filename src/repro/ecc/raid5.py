@@ -11,16 +11,12 @@ single fault spans two strips of one stripe (multi-bank TSV faults).
 
 from __future__ import annotations
 
-from repro.ecc.incremental import IncrementalPairwiseModel
+from repro.ecc.base import PairwiseModel
 from repro.faults.types import Fault
-from repro.stack.geometry import StackGeometry
 
 
-class RAID5(IncrementalPairwiseModel):
+class RAID5(PairwiseModel):
     """Row-granularity rotated parity across all banks."""
-
-    def __init__(self, geometry: StackGeometry) -> None:
-        super().__init__(geometry)
 
     @property
     def name(self) -> str:
@@ -38,9 +34,6 @@ class RAID5(IncrementalPairwiseModel):
         return RAID5BatchKernel(self.geometry)
 
     # ------------------------------------------------------------------ #
-    # Stripes span every bank of every die, so no die/bank occupancy
-    # index can prune the pair candidates; the kernel's value here is the
-    # monotone short-circuit plus the O(F)-per-arrival pair scan.
     def _fatal_alone(self, fault: Fault) -> bool:
         # A fault covering the same row index in >= 2 banks occupies
         # two strips of one stripe on its own (TSV faults do this).

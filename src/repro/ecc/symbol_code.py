@@ -24,10 +24,9 @@ in distinct units with intersecting codeword coordinates.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.ecc.base import share_line_slot
-from repro.ecc.incremental import FaultBuckets, IncrementalPairwiseModel
+from repro.ecc.base import PairwiseModel, share_line_slot
 from repro.faults.footprint import RangeMask
 from repro.faults.types import Fault
 from repro.stack.geometry import StackGeometry
@@ -37,7 +36,7 @@ from repro.stack.striping import StripingPolicy
 DEFAULT_DATA_UNITS = 8
 
 
-class SymbolCode(IncrementalPairwiseModel):
+class SymbolCode(PairwiseModel):
     """Single-symbol-correct code over a striping policy's units."""
 
     def __init__(
@@ -50,14 +49,6 @@ class SymbolCode(IncrementalPairwiseModel):
         self.policy = policy
         self.data_units = data_units
         self._symbol_bits = geometry.line_bits // data_units
-        # Data-data fatal pairs need a shared die (Same Bank / Across
-        # Banks) or a shared bank (Across Channels): index data faults on
-        # that axis.  Metadata-die faults pair *across* axes (Across
-        # Banks matches the metadata fault's banks against the data
-        # fault's dies), so they live in an always-tested side list.
-        axis = "banks" if policy is StripingPolicy.ACROSS_CHANNELS else "dies"
-        self._data_index = FaultBuckets(axis)
-        self._meta_live: List[Fault] = []
 
     @property
     def name(self) -> str:
@@ -85,7 +76,7 @@ class SymbolCode(IncrementalPairwiseModel):
         within_base = cols.base & (self.geometry.line_bits - 1)
         return within_base // self._symbol_bits
 
-    def _single_fault_fatal(self, fault: Fault) -> bool:
+    def _fatal_alone(self, fault: Fault) -> bool:
         if self._is_meta_fault(fault):
             # The metadata die holds exactly one (check) symbol of any
             # codeword; a lone metadata fault is always correctable.
@@ -97,7 +88,7 @@ class SymbolCode(IncrementalPairwiseModel):
         return len(fault.footprint.dies) > 1
 
     # ------------------------------------------------------------------ #
-    def _pair_fatal(self, a: Fault, b: Fault) -> bool:
+    def _fatal_pair(self, a: Fault, b: Fault) -> bool:
         a_meta, b_meta = self._is_meta_fault(a), self._is_meta_fault(b)
         if a_meta and b_meta:
             return False  # two faults in the single check unit
@@ -177,29 +168,3 @@ class SymbolCode(IncrementalPairwiseModel):
             if fm.rows.intersects(meta_rows):
                 return True
         return False
-
-    # ------------------------- incremental hooks ---------------------- #
-    def _fatal_alone(self, fault: Fault) -> bool:
-        return self._single_fault_fatal(fault)
-
-    def _fatal_pair(self, a: Fault, b: Fault) -> bool:
-        return self._pair_fatal(a, b)
-
-    def _pair_candidates(self, fault: Fault) -> List[Fault]:
-        if self._is_meta_fault(fault):
-            # Meta-data pairing can cross axes, so meta arrivals test
-            # the whole live set.
-            return list(self._inc_live)
-        # Data arrival: axis-mates among the data faults, plus every live
-        # metadata fault (disjoint sets — no deduplication needed).
-        return self._data_index.candidates(fault) + self._meta_live
-
-    def _index_reset(self) -> None:
-        self._data_index.clear()
-        self._meta_live = []
-
-    def _index_add(self, fault: Fault) -> None:
-        if self._is_meta_fault(fault):
-            self._meta_live.append(fault)
-        else:
-            self._data_index.add(fault)

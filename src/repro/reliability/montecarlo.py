@@ -54,6 +54,7 @@ from repro.stack.geometry import (
     SCRUB_INTERVAL_HOURS,
     StackGeometry,
 )
+from repro.stack.tsv import standby_dtsv_indices
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import TraceWriter
 
@@ -84,13 +85,6 @@ class EngineConfig:
     #: RNG draws), so sample statistics are bit-identical with telemetry
     #: on or off and shard metrics merge deterministically.
     collect_metrics: bool = False
-    #: Drive correctability through the model's incremental
-    #: ``begin_trial``/``observe`` kernel (identical verdicts; an arrival
-    #: costs O(touched component / candidates) instead of a from-scratch
-    #: ``is_uncorrectable`` pass over the whole live set).  False forces
-    #: the from-scratch path — the reference used by the differential
-    #: tests and ``bench_engine_hotpath``.
-    incremental_correction: bool = True
     #: Sampling plan over the fault-arrival process: ``"naive"`` is the
     #: legacy single-stratum path (byte-identical to prior releases),
     #: ``"stratified"`` partitions by exact fault count, ``"importance"``
@@ -178,6 +172,11 @@ class LifetimeSimulator:
         self.rates = rates
         self.model = model
         self.config = config if config is not None else EngineConfig()
+        if self.config.tsv_swap_standby is not None:
+            # Reject an unusable stand-by count (ConfigurationError) when
+            # the campaign is built, not at the first TSV fault a shard
+            # happens to sample.
+            standby_dtsv_indices(geometry, self.config.tsv_swap_standby)
         self.rng = make_rng(rng, seed)
         if self.config.thermal_bank_fit is not None:
             self.injector: FaultInjector = ThermalFaultInjector(
@@ -190,11 +189,6 @@ class LifetimeSimulator:
         #: spans with one ``correction`` event per fault arrival.  Tracing
         #: never feeds back into the simulation.
         self.tracer = tracer
-        #: Full registry of the most recent :meth:`run` with telemetry on,
-        #: volatile counters included (``engine/incremental_hits``,
-        #: ``parity/peel_reuse``).  Observability aid for benches and
-        #: debugging; results carry only the deterministic snapshot.
-        self.last_run_metrics: Optional[MetricsRegistry] = None
 
     # ------------------------------------------------------------------ #
     def default_min_faults(self) -> int:
@@ -283,7 +277,6 @@ class LifetimeSimulator:
         if metrics is not None:
             metrics.inc("engine/trials", trials)
             metrics.inc("engine/failures", failures)
-            self.last_run_metrics = metrics
             metrics = metrics.deterministic_snapshot()
         return ReliabilityResult(
             scheme_name=label if label is not None else self._label(),
@@ -379,9 +372,6 @@ class LifetimeSimulator:
             else None
         )
         model = self.model
-        incremental = config.incremental_correction
-        if incremental:
-            model.begin_trial()
         live: List[Fault] = []
         outcome: Optional[Tuple[float, Optional[str]]] = None
         interval = config.scrub_interval_hours
@@ -405,20 +395,13 @@ class LifetimeSimulator:
                     at_hours=(scrub_epoch + 1) * interval,
                     recorder=recorder,
                 )
-                if incremental:
-                    model.rebuild(live)
                 if metrics is not None:
                     metrics.inc("engine/scrub_passes")
                 scrub_epoch = due_epoch
             if recorder is not None:
                 recorder.fault(fault)
             live.append(fault)
-            if incremental:
-                uncorrectable = model.observe(fault)
-                if metrics is not None and model.incremental_kernel:
-                    metrics.inc("engine/incremental_hits", volatile=True)
-            else:
-                uncorrectable = model.is_uncorrectable(live)
+            uncorrectable = model.is_uncorrectable(live)
             if tracer is not None:
                 tracer.event(
                     "correction",
@@ -560,7 +543,6 @@ class LifetimeSimulator:
         if metrics is not None:
             metrics.inc("engine/trials", trials)
             metrics.inc("engine/failures", failures)
-            self.last_run_metrics = metrics
             metrics = metrics.deterministic_snapshot()
         return ReliabilityResult(
             scheme_name=label if label is not None else self._label(),

@@ -112,18 +112,20 @@ from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import TraceWriter
 
-#: v2: ``EngineConfig`` grew ``collect_metrics``; v3: it grew
-#: ``incremental_correction`` (the fingerprint embeds ``asdict(config)``,
-#: so older checkpoints cannot be resumed); v4: it grew ``sampling`` /
-#: ``target_ci_width`` and shard results grew per-stratum tallies
-#: (``ReliabilityResult.strata``); v5: merged results grew the optional
-#: run-provenance ``manifest`` sidecar; v6: ``EngineConfig`` grew
-#: ``thermal_bank_fit`` (the replay engine's thermal-FIT feedback);
+#: v2: ``EngineConfig`` grew ``collect_metrics``; v3: it grew the
+#: incremental-correction toggle (the fingerprint embeds
+#: ``asdict(config)``, so older checkpoints cannot be resumed); v4: it
+#: grew ``sampling`` / ``target_ci_width`` and shard results grew
+#: per-stratum tallies (``ReliabilityResult.strata``); v5: merged results
+#: grew the optional run-provenance ``manifest`` sidecar; v6:
+#: ``EngineConfig`` grew ``thermal_bank_fit`` (the replay engine's
+#: thermal-FIT feedback);
 #: v7: ``EngineConfig`` grew ``batch_trials`` (the vectorized trial
 #: kernel toggle); v8: the whole-table JSON checkpoint became an
 #: append-only JSON Lines segment (fingerprint header, one line per
-#: shard).
-CHECKPOINT_VERSION = 8
+#: shard); v9: ``EngineConfig`` lost the incremental-correction toggle
+#: (one correctability path).
+CHECKPOINT_VERSION = 9
 
 #: Bucket edges (seconds) of the wall-clock shard-latency histogram kept
 #: in ``last_campaign_metrics`` (volatile: never merged into results).

@@ -36,7 +36,7 @@ from enum import Enum
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro import contracts
-from repro.errors import SpecError
+from repro.errors import ConfigurationError, SpecError
 from repro.faults.rates import FailureRates
 from repro.reliability.montecarlo import EngineConfig
 from repro.reliability.parallel import DEFAULT_SHARD_SIZE, ParallelLifetimeRunner
@@ -44,6 +44,7 @@ from repro.reliability.sampling import SAMPLING_METHODS
 from repro.replay import ReplayCampaignRunner, ReplayConfig
 from repro.schemes import SCHEMES
 from repro.stack.geometry import StackGeometry
+from repro.stack.tsv import standby_dtsv_indices
 from repro.workloads.profiles import WORKLOADS
 
 SPEC_SCHEMA_VERSION = 1
@@ -175,12 +176,9 @@ class CampaignSpec:
             raise SpecError(f"scale must be a positive int, got {self.scale!r}")
         if self.tsv_fit < 0:
             raise SpecError(f"tsv_fit must be >= 0, got {self.tsv_fit!r}")
-        if self.tsv_swap is not None and (
-            not isinstance(self.tsv_swap, int) or self.tsv_swap < 0
-        ):
+        if self.tsv_swap is not None and not isinstance(self.tsv_swap, int):
             raise SpecError(
-                f"tsv_swap must be a non-negative int or null, "
-                f"got {self.tsv_swap!r}"
+                f"tsv_swap must be an int or null, got {self.tsv_swap!r}"
             )
         if self.scrub_hours <= 0:
             raise SpecError(
@@ -247,6 +245,15 @@ class CampaignSpec:
             "geometry",
             {k: int(v) for k, v in sorted(dict(self.geometry).items())},
         )
+        try:
+            geometry = self.build_geometry()
+        except ConfigurationError as exc:
+            raise SpecError(f"geometry: {exc}") from None
+        if self.tsv_swap is not None:
+            try:
+                standby_dtsv_indices(geometry, self.tsv_swap)
+            except ConfigurationError as exc:
+                raise SpecError(f"tsv_swap: {exc}") from None
 
     # ------------------------------------------------------------------ #
     # Canonical form / content address

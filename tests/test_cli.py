@@ -71,6 +71,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "failure modes" in out
 
+    @pytest.mark.parametrize("standby", ["0", "300"])
+    def test_reliability_unusable_tsv_swap_exits_1(self, capsys, standby):
+        rc = main([
+            "reliability", "--scheme", "3dp", "--tsv-swap", standby,
+            "--tsv-fit", "1430", "--workers", "2", "--shard-size", "500",
+            "--trials", "2000",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "stand-by count" in captured.err
+        assert "P(fail)" not in captured.out
+
     def test_perf_small_run(self, capsys):
         rc = main([
             "perf", "--benchmark", "povray", "--requests", "200",

@@ -131,6 +131,33 @@ class TestParallelRunnerDeterminism:
             geom, workers=2
         )
 
+    def test_citadel_workers_1_vs_4_identical_with_metrics(self, geom):
+        """Citadel exercises TSV-Swap, scrubs and DDS re-exposure; counts,
+        failure times, failure modes and the metrics snapshot (``parity/*``
+        included) must not depend on the worker count."""
+
+        def run_citadel(workers):
+            return ParallelLifetimeRunner(
+                geom,
+                FailureRates.paper_baseline(tsv_device_fit=1430.0),
+                make_3dp(geom),
+                EngineConfig(
+                    tsv_swap_standby=4,
+                    use_dds=True,
+                    collect_metrics=True,
+                    collect_failure_modes=True,
+                ),
+                root_seed=302,
+                workers=workers,
+                shard_size=150,
+            ).run(trials=600)
+
+        serial = run_citadel(workers=1)
+        pooled = run_citadel(workers=4)
+        assert pooled == serial
+        assert pooled.failure_modes == serial.failure_modes
+        assert pooled.metrics == serial.metrics
+
     def test_different_root_seeds_diverge(self, geom):
         runner = ParallelLifetimeRunner(
             geom,
@@ -142,47 +169,6 @@ class TestParallelRunnerDeterminism:
             shard_size=200,
         )
         assert runner.run(trials=800) != self.run_parallel(geom, workers=1)
-
-
-class TestIncrementalCorrectionInvisible:
-    """``EngineConfig.incremental_correction`` is a pure performance knob:
-    results — counts, failure times, metrics snapshot — must be
-    byte-identical to the from-scratch reference path."""
-
-    def run_citadel(self, geom, workers, incremental):
-        runner = ParallelLifetimeRunner(
-            geom,
-            FailureRates.paper_baseline(tsv_device_fit=1430.0),
-            make_3dp(geom),
-            EngineConfig(
-                tsv_swap_standby=4,
-                use_dds=True,
-                collect_metrics=True,
-                collect_failure_modes=True,
-                incremental_correction=incremental,
-            ),
-            root_seed=302,
-            workers=workers,
-            shard_size=150,
-        )
-        return runner.run(trials=600)
-
-    def test_serial_engine_flag_invisible(self, geom):
-        fast = run_monte_carlo(geom, seed=42, collect_metrics=True)
-        reference = run_monte_carlo(
-            geom, seed=42, collect_metrics=True, incremental_correction=False
-        )
-        assert fast == reference
-        assert fast.metrics == reference.metrics
-
-    def test_citadel_parallel_flag_invisible_any_worker_count(self, geom):
-        """Citadel config exercises scrub rebuilds and DDS re-exposure;
-        identity must hold at workers=1 and workers=4."""
-        reference = self.run_citadel(geom, workers=1, incremental=False)
-        for workers in (1, 4):
-            fast = self.run_citadel(geom, workers=workers, incremental=True)
-            assert fast == reference
-            assert fast.metrics == reference.metrics
 
 
 class TestInjectorDeterminism:

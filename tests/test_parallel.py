@@ -11,7 +11,7 @@ import pytest
 
 import repro.reliability.parallel as parallel_mod
 from repro.core.parity3dp import make_1dp
-from repro.errors import CheckpointError, ContractViolation
+from repro.errors import CheckpointError, ConfigurationError, ContractViolation
 from repro.faults.rates import FailureRates
 from repro.reliability import (
     CrashInjection,
@@ -330,6 +330,25 @@ class TestValidation:
     def test_bad_worker_count_rejected(self, geometry):
         with pytest.raises(ContractViolation):
             make_runner(geometry, workers=0)
+
+    @pytest.mark.parametrize("standby", [0, 3, 300])
+    def test_unusable_tsv_swap_standby_rejected_before_dispatch(
+        self, geometry, standby
+    ):
+        """Out of (0, 256] or not dividing the DTSV pool: the campaign
+        must fail when it starts, not as crashed shards mid-run."""
+        runner = ParallelLifetimeRunner(
+            geometry,
+            FailureRates.paper_baseline(tsv_device_fit=1430.0),
+            make_1dp(geometry),
+            EngineConfig(tsv_swap_standby=standby),
+            root_seed=42,
+            workers=2,
+            shard_size=SHARD,
+        )
+        with pytest.raises(ConfigurationError, match="stand-by count"):
+            runner.run(trials=TRIALS)
+        assert runner.last_report is None
 
 
 class TestCancelHook:

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on cross-cutting invariants of the
 correctability models and mitigation filters."""
 
+import itertools
 import random
 
 import pytest
@@ -61,6 +62,55 @@ def faults(draw):
     return make_addr_tsv_fault(GEOM, channel, idx, draw(st.integers(0, 1)))
 
 
+#: Small coordinate pools force overlaps: with the full address space the
+#: chance of two random faults aliasing is negligible, so pair predicates,
+#: BCH pooling and multi-round 3DP peeling would almost never run.
+CROWDED_DIES = st.integers(0, min(3, GEOM.total_dies - 1))
+CROWDED_BANKS = st.integers(0, min(2, GEOM.banks_per_die - 1))
+CROWDED_ROWS = st.integers(0, 7)
+CROWDED_COLS = st.integers(0, min(127, GEOM.row_bits - 1))
+
+
+@st.composite
+def crowded_faults(draw):
+    """One random fault drawn from a deliberately small address pool."""
+    kind = draw(st.sampled_from(
+        ["bit", "word", "row", "column", "subarray", "bank", "dtsv", "atsv"]
+    ))
+    perm = draw(st.sampled_from([Permanence.TRANSIENT, Permanence.PERMANENT]))
+    die = draw(
+        CROWDED_DIES if kind in ("bit", "word", "row")
+        else st.integers(0, GEOM.total_dies - 1)
+    )
+    bank = draw(CROWDED_BANKS)
+    row = draw(CROWDED_ROWS)
+    if kind == "bit":
+        return make_bit_fault(GEOM, die, bank, row, draw(CROWDED_COLS), perm)
+    if kind == "word":
+        word = draw(st.integers(0, min(3, GEOM.row_bits // 32 - 1)))
+        return make_word_fault(GEOM, die, bank, row, word, perm)
+    if kind == "row":
+        return make_row_fault(GEOM, die, bank, row, perm)
+    if kind == "column":
+        return make_column_fault(GEOM, die, bank, draw(CROWDED_COLS), perm)
+    if kind == "subarray":
+        sub = draw(st.integers(0, min(1, GEOM.subarrays_per_bank - 1)))
+        return make_subarray_fault(GEOM, die, bank, sub, perm)
+    if kind == "bank":
+        return make_bank_fault(GEOM, die, bank, perm)
+    channel = draw(st.integers(0, GEOM.channels - 1))
+    if kind == "dtsv":
+        idx = draw(st.integers(0, min(7, GEOM.data_tsvs_per_channel - 1)))
+        return make_data_tsv_fault(GEOM, channel, idx)
+    idx = draw(st.integers(0, min(3, GEOM.addr_tsvs_per_channel - 1)))
+    return make_addr_tsv_fault(GEOM, channel, idx)
+
+
+#: Each example draws its faults from one source: anywhere in the stack,
+#: or crowded together.
+FAULT_SOURCES = st.sampled_from([faults, crowded_faults])
+
+
 ALL_MODELS = [
     make_1dp(GEOM),
     make_2dp(GEOM),
@@ -78,21 +128,48 @@ ALL_MODELS = [
 class TestMonotonicity:
     """Adding a fault can never make an uncorrectable set correctable."""
 
-    @given(st.lists(faults(), min_size=1, max_size=5), faults())
-    @settings(max_examples=60, deadline=None)
-    def test_uncorrectable_is_monotone(self, fault_set, extra):
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_uncorrectable_is_monotone(self, data):
+        fault = data.draw(FAULT_SOURCES)
+        fault_set = data.draw(st.lists(fault(), min_size=1, max_size=5))
+        extra = data.draw(fault())
         for model in ALL_MODELS:
             if model.is_uncorrectable(fault_set):
                 assert model.is_uncorrectable(fault_set + [extra]), model.name
 
-    @given(st.lists(faults(), min_size=2, max_size=5))
-    @settings(max_examples=60, deadline=None)
-    def test_subsets_of_correctable_are_correctable(self, fault_set):
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_subsets_of_correctable_are_correctable(self, data):
+        fault = data.draw(FAULT_SOURCES)
+        fault_set = data.draw(st.lists(fault(), min_size=2, max_size=5))
         for model in ALL_MODELS:
             if not model.is_uncorrectable(fault_set):
                 for i in range(len(fault_set)):
                     subset = fault_set[:i] + fault_set[i + 1:]
                     assert not model.is_uncorrectable(subset), model.name
+
+
+class TestOrderIndependence:
+    """The verdict is a function of the fault *set*: the engine hands
+    ``is_uncorrectable`` the live list in arrival order, and no model
+    may depend on that order.  Every pair is also checked in both
+    orders on its own, where no other fault can mask the difference."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_invariant_under_permutation(self, data):
+        fault = data.draw(FAULT_SOURCES)
+        fault_set = data.draw(st.lists(fault(), min_size=2, max_size=6))
+        shuffled = data.draw(st.permutations(fault_set))
+        for model in ALL_MODELS:
+            assert model.is_uncorrectable(fault_set) == model.is_uncorrectable(
+                shuffled
+            ), model.name
+            for a, b in itertools.combinations(fault_set, 2):
+                assert model.is_uncorrectable([a, b]) == model.is_uncorrectable(
+                    [b, a]
+                ), model.name
 
 
 class TestEmptyAndSingle:

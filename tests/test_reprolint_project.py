@@ -705,8 +705,9 @@ class TestRepro010:
 
 class TestProjectLockfileCurrent:
     """The checked-in lockfile must reflect the current schema surface:
-    CHECKPOINT_VERSION 8 (append-only checkpoint segments) plus the
-    sampling, run-provenance, replay, and batch schema growth."""
+    CHECKPOINT_VERSION 9 (one correctability path, after the append-only
+    checkpoint segments of v8) plus the sampling, run-provenance, replay,
+    and batch schema growth."""
 
     LOCKFILE = (
         Path(__file__).resolve().parent.parent
@@ -715,9 +716,9 @@ class TestProjectLockfileCurrent:
         / "schema_lock.json"
     )
 
-    def test_lockfile_records_checkpoint_version_8(self):
+    def test_lockfile_records_checkpoint_version_9(self):
         locked = json.loads(self.LOCKFILE.read_text())
-        assert locked["checkpoint_version"] == 8
+        assert locked["checkpoint_version"] == 9
 
     def test_lockfile_covers_batch_schema_surface(self):
         locked = json.loads(self.LOCKFILE.read_text())

@@ -249,6 +249,13 @@ class TestErrorContract:
                 "POST", "/jobs", {"spec": {"scheme": "not-a-scheme"}}
             )
 
+    def test_unusable_tsv_swap_rejected_at_submit(self, service):
+        client, _, _ = service
+        with pytest.raises(SpecError, match="stand-by count 300"):
+            client._request(
+                "POST", "/jobs", {"spec": {"scheme": "3dp", "tsv_swap": 300}}
+            )
+
     def test_missing_spec_raises_spec_error(self, service):
         client, _, _ = service
         with pytest.raises(SpecError, match="spec"):

@@ -54,11 +54,24 @@ class TestValidation:
             {"geometry": {"not_a_field": 2}},
             {"geometry": {"data_dies": 0}},
             {"geometry": {"data_dies": 2.5}},
+            {"tsv_swap": 0},
+            {"tsv_swap": 3},
+            {"tsv_swap": 300},
+            {"scheme": "citadel", "geometry": {"data_tsvs_per_channel": 2}},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(SpecError):
             CampaignSpec(**overrides)
+
+    def test_tsv_swap_range_follows_the_spec_geometry(self):
+        with pytest.raises(SpecError, match=r"out of range \(0, 256\]"):
+            CampaignSpec(scheme="3dp", tsv_swap=300)
+        assert CampaignSpec(scheme="3dp", tsv_swap=256).tsv_swap == 256
+        assert CampaignSpec(
+            scheme="3dp", tsv_swap=512,
+            geometry={"data_tsvs_per_channel": 512},
+        ).tsv_swap == 512
 
     def test_unknown_sampling_names_the_valid_methods(self):
         with pytest.raises(SpecError, match="unknown sampling method"):
@@ -212,8 +225,10 @@ class TestHashKeyOrderProperty:
     @settings(max_examples=60, deadline=None)
     def test_spec_hash_ignores_dict_key_order(self, document, data):
         """Content address is invariant under any permutation of the
-        submitted document's keys (including nested geometry keys)."""
-        reference = CampaignSpec.from_dict(document)
+        submitted document's keys (including nested geometry keys).
+        Acceptance is invariant too: a document rejected in one key
+        order (say, a geometry the stand-by count does not fit) is
+        rejected in every order."""
         keys = data.draw(st.permutations(list(document)))
         shuffled = {key: document[key] for key in keys}
         if isinstance(shuffled.get("geometry"), dict):
@@ -221,6 +236,12 @@ class TestHashKeyOrderProperty:
             shuffled["geometry"] = {
                 key: shuffled["geometry"][key] for key in geo_keys
             }
+        try:
+            reference = CampaignSpec.from_dict(document)
+        except SpecError:
+            with pytest.raises(SpecError):
+                CampaignSpec.from_dict(shuffled)
+            return
         assert CampaignSpec.from_dict(shuffled).spec_hash() == (
             reference.spec_hash()
         )
@@ -228,7 +249,10 @@ class TestHashKeyOrderProperty:
     @given(document=spec_documents)
     @settings(max_examples=60, deadline=None)
     def test_json_roundtrip_preserves_the_hash(self, document):
-        spec = CampaignSpec.from_dict(document)
+        try:
+            spec = CampaignSpec.from_dict(document)
+        except SpecError:
+            return  # an invalid geometry or stand-by count has no hash
         rehydrated = CampaignSpec.from_dict(json.loads(spec.canonical_json()))
         assert rehydrated.spec_hash() == spec.spec_hash()
 

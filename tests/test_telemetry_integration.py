@@ -297,7 +297,7 @@ class TestBenchSidecars:
 
     @pytest.mark.parametrize("outcome", sorted(SIDECAR_OUTCOMES))
     @pytest.mark.parametrize(
-        "bench", ["batch", "hotpath", "replay", "sampling"]
+        "bench", ["batch", "replay", "sampling"]
     )
     def test_outcome(self, tmp_path, capsys, bench, outcome):
         from tools.bench_report import SIDECARS, check_sidecar

@@ -146,18 +146,18 @@ class TestDeterministicSnapshot:
 
     def test_volatile_counter_stripped_but_merges(self):
         registry = MetricsRegistry()
-        registry.inc("engine/incremental_hits", 3, volatile=True)
+        registry.inc("engine/volatile_example", 3, volatile=True)
         registry.inc("engine/trials", 1)
-        assert registry.counter("engine/incremental_hits") == 3
+        assert registry.counter("engine/volatile_example") == 3
         snapshot = registry.deterministic_snapshot()
-        assert snapshot.counter("engine/incremental_hits") == 0
+        assert snapshot.counter("engine/volatile_example") == 0
         assert snapshot.counter("engine/trials") == 1
         other = MetricsRegistry()
-        other.inc("engine/incremental_hits", 2, volatile=True)
+        other.inc("engine/volatile_example", 2, volatile=True)
         merged = registry.merge(other)
-        assert merged.counter("engine/incremental_hits") == 5
+        assert merged.counter("engine/volatile_example") == 5
         assert merged.deterministic_snapshot().counter(
-            "engine/incremental_hits"
+            "engine/volatile_example"
         ) == 0
 
     def test_snapshot_of_snapshot_is_fixed_point(self):

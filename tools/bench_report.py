@@ -23,9 +23,8 @@ so latency-shaped distributions are trendable without wall-clock
 values entering the artifact.
 
 Benches with a wall-clock claim also drop a timing sidecar next to the
-metrics: ``hotpath_speedup.json`` (incremental hot path),
-``bench_sampling_speedup.json`` (importance-sampling trial reduction),
-``bench_replay_throughput.json`` (replayed requests/s) and
+metrics: ``bench_sampling_speedup.json`` (importance-sampling trial
+reduction), ``bench_replay_throughput.json`` (replayed requests/s) and
 ``batch_speedup.json`` (batch kernel vs scalar loop).  Wall-clock
 numbers never enter the BENCH artifact (that would break its
 determinism); instead :data:`SIDECARS` names each sidecar's measured
@@ -103,11 +102,6 @@ class Sidecar:
 
 #: Every sidecar a bench drops, keyed by bench.
 SIDECARS: Dict[str, Sidecar] = {
-    "hotpath": Sidecar(
-        "hotpath_speedup.json", "speedup", "threshold", "results_identical",
-        "hotpath speedup", "{:.2f}x", "threshold {:.1f}x",
-        "hotpath bench reported non-identical results",
-    ),
     "sampling": Sidecar(
         "bench_sampling_speedup.json", "trial_reduction", "threshold",
         "estimates_consistent",
