@@ -160,10 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="W",
                      help="stop once the anytime-valid failure-probability "
                           "CI is narrower than W (checked at shard merges)")
-    rel.add_argument("--batch", action="store_true",
-                     help="evaluate trials through the vectorized batch "
-                          "kernel (byte-identical results; needs "
-                          "--sampling naive)")
     rel.add_argument("--telemetry", action="store_true",
                      help="collect deterministic engine metrics "
                           "(implied by --metrics-out)")
@@ -338,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="W",
                         help="anytime-valid CI width at which the campaign "
                              "stops early")
-    submit.add_argument("--batch", action="store_true",
-                        help="evaluate trials through the vectorized batch "
-                             "kernel (byte-identical results)")
     submit.add_argument("--modes", action="store_true",
                         help="collect failure-mode attribution")
     submit.add_argument("--telemetry", action="store_true",
@@ -491,7 +484,6 @@ def cmd_reliability(args: argparse.Namespace) -> int:
         telemetry=args.telemetry or args.metrics_out is not None,
         sampling=args.sampling,
         target_ci_width=args.target_ci_width,
-        batch=args.batch,
     )
     runner = spec.runner(
         args.workers,
@@ -775,7 +767,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         telemetry=args.telemetry,
         sampling=args.sampling,
         target_ci_width=args.target_ci_width,
-        batch=args.batch,
     )
     job = client.submit(
         spec, priority=args.priority, workers=args.workers

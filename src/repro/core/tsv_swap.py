@@ -81,10 +81,6 @@ class TSVSwapController:
             for channel in range(geometry.channels)
         }
 
-    @property
-    def standby_indices(self) -> List[int]:
-        return list(self._standby_indices)
-
     def state(self, channel: int) -> ChannelSwapState:
         if channel not in self.channels:
             raise ConfigurationError(f"no such channel: {channel}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.ecc.batch_kernels import BatchCorrectionKernel
@@ -67,11 +67,10 @@ class CorrectionModel(abc.ABC):
         """An array-shaped correctability kernel for the batch trial path.
 
         ``None`` (the default) means the scheme has no vectorized form and
-        ``EngineConfig.batch_trials`` campaigns fall back to the scalar
-        loop.  Implementations return a fresh
-        :class:`repro.ecc.batch_kernels.BatchCorrectionKernel` whose
-        ``survives`` verdicts are *sound*: ``True`` only for trials the
-        scalar engine would also report as non-failing.
+        its naive campaigns run on the scalar loop.  Implementations
+        return a fresh :class:`repro.ecc.batch_kernels.BatchCorrectionKernel`
+        whose ``survives`` verdicts are *sound*: ``True`` only for trials
+        the scalar engine would also report as non-failing.
         """
         return None
 
@@ -137,16 +136,3 @@ def bits_in_one_line(geometry: StackGeometry, cols: RangeMask) -> int:
     line_low_bits = geometry.line_bits - 1
     within_line_mask = cols.mask & line_low_bits
     return 1 << bin(within_line_mask).count("1")
-
-
-def bank_instances(fault: Fault) -> List[Tuple[int, int]]:
-    """All (die, bank) pairs touched by a fault."""
-    return [
-        (die, bank)
-        for die in sorted(fault.footprint.dies)
-        for bank in sorted(fault.footprint.banks)
-    ]
-
-
-def faults_in_die(faults: Iterable[Fault], die: int) -> List[Fault]:
-    return [f for f in faults if die in f.footprint.dies]

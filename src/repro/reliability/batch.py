@@ -1,15 +1,17 @@
 """Batch trial engine: evaluate a shard's trials as numpy arrays.
 
-``EngineConfig.batch_trials`` routes naive-sampling campaigns through
-:class:`BatchTrialKernel`: trials are sampled in chunks (consuming the
-injector's RNG stream draw-for-draw like the scalar loop, so results stay
-bitwise-identical), flattened into :class:`repro.ecc.batch_kernels.TrialBatch`
-columns, and screened by the scheme's array-shaped kernel.  Trials the
-kernel *proves* survive are done — no Python fault objects, no model
-machinery.  The rest (a small minority on Citadel-class configs: genuine
-failures, TSV-Swap overflows, multi-round peels) are materialised into
-``Fault`` objects and re-run through ``LifetimeSimulator._simulate``, the
-exact scalar path.
+The engine routes naive-sampling campaigns through
+:class:`BatchTrialKernel` by itself whenever :func:`make_batch_runner`
+accepts them (``EngineConfig.batch_trials=False`` forces the scalar loop,
+the oracle the differential tests compare against): trials are sampled
+in chunks (consuming the injector's RNG stream draw-for-draw like the
+scalar loop, so results stay bitwise-identical), flattened into
+:class:`repro.ecc.batch_kernels.TrialBatch` columns, and screened by the
+scheme's array-shaped kernel.  Trials the kernel *proves* survive are
+done — no Python fault objects, no model machinery.  The rest (a small
+minority on Citadel-class configs: genuine failures, TSV-Swap overflows,
+multi-round peels) are materialised into ``Fault`` objects and re-run
+through ``LifetimeSimulator._simulate``, the exact scalar path.
 
 Compatibility rules this module must uphold (and the batch differential
 tests enforce):
@@ -54,9 +56,9 @@ def make_batch_runner(
     """The batch runner for ``sim``, or ``None`` to use the scalar loop.
 
     Returns ``None`` — silent scalar fallback, the results are identical
-    either way — when the run needs per-trial observability (metrics,
-    sparing stats, failure modes, tracing) or the model has no
-    array-shaped kernel.
+    either way — when the oracle switch forces the scalar loop, the run
+    needs per-trial observability (metrics, sparing stats, failure modes,
+    tracing) or the model has no array-shaped kernel.
     """
     config = sim.config
     if not config.batch_trials:

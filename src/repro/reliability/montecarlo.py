@@ -95,15 +95,17 @@ class EngineConfig:
     #: sequence over the failure probability is narrower than this
     #: (consulted by ``ParallelLifetimeRunner`` at shard merge points).
     target_ci_width: Optional[float] = None
-    #: Evaluate naive-sampling trials in numpy batches: chunks of trials
-    #: become fault-column arrays screened by the scheme's
-    #: :meth:`~repro.ecc.base.CorrectionModel.batch_kernel`; only trials
-    #: the kernel cannot prove survivable re-run on the scalar path.
-    #: Results are byte-identical to the scalar loop (same RNG stream,
-    #: same weights, same failure times).  Falls back to the scalar loop
-    #: silently when the model has no kernel or per-trial observability
-    #: (metrics/sparing/failure modes/tracing) is on.
-    batch_trials: bool = False
+    #: Oracle switch for the batch trial path.  By default the engine
+    #: screens naive-sampling trials in numpy batches whenever the
+    #: scheme has a :meth:`~repro.ecc.base.CorrectionModel.batch_kernel`
+    #: and no per-trial observability (metrics/sparing/failure
+    #: modes/tracing) is on; only trials the kernel cannot prove
+    #: survivable re-run on the scalar path.  Results are byte-identical
+    #: to the scalar loop (same RNG stream, same weights, same failure
+    #: times).  ``False`` forces the scalar loop everywhere: the oracle
+    #: the differential tests and the benchmark's path probe compare
+    #: against.  Sampled plans always run the scalar loop.
+    batch_trials: bool = True
     #: Per-bank-position thermal FIT multipliers from the replay engine's
     #: activity-weighted thermal proxy (one per bank of a die, applied to
     #: every die).  ``None`` — the default — keeps the uniform
@@ -135,12 +137,6 @@ class EngineConfig:
             self.target_ci_width is None or self.target_ci_width > 0,
             "target_ci_width must be positive or None, got %r",
             self.target_ci_width,
-        )
-        contracts.require(
-            not self.batch_trials or self.sampling == "naive",
-            "batch_trials only supports the naive sampling plan, "
-            "got sampling=%r",
-            self.sampling,
         )
         if self.thermal_bank_fit is not None:
             self.thermal_bank_fit = tuple(

@@ -124,8 +124,10 @@ from repro.telemetry.tracing import TraceWriter
 #: kernel toggle); v8: the whole-table JSON checkpoint became an
 #: append-only JSON Lines segment (fingerprint header, one line per
 #: shard); v9: ``EngineConfig`` lost the incremental-correction toggle
-#: (one correctability path).
-CHECKPOINT_VERSION = 9
+#: (one correctability path); v10: ``batch_trials`` defaults to on (the
+#: engine picks the batch path itself; ``False`` is the scalar oracle)
+#: and ``CampaignSpec`` lost its ``batch`` field.
+CHECKPOINT_VERSION = 10
 
 #: Bucket edges (seconds) of the wall-clock shard-latency histogram kept
 #: in ``last_campaign_metrics`` (volatile: never merged into results).

@@ -80,7 +80,6 @@ _SPEC_FIELDS = (
     "requests",
     "replay_cores",
     "thermal",
-    "batch",
 )
 
 #: Campaign kinds a spec may describe.
@@ -126,11 +125,6 @@ class CampaignSpec:
     requests: int = 512
     replay_cores: int = 4
     thermal: bool = False
-    #: Route trials through the vectorized batch kernel
-    #: (``EngineConfig.batch_trials``).  Results are byte-identical to
-    #: the scalar path, so the flag is emitted into the canonical
-    #: document only when set — pre-existing spec hashes are unchanged.
-    batch: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in SPEC_MODES:
@@ -194,13 +188,6 @@ class CampaignSpec:
             raise SpecError(
                 f"unknown sampling method {self.sampling!r}; "
                 f"expected one of {list(SAMPLING_METHODS)}"
-            )
-        if not isinstance(self.batch, bool):
-            raise SpecError(f"batch must be a boolean, got {self.batch!r}")
-        if self.batch and self.sampling != "naive":
-            raise SpecError(
-                f"batch only supports the naive sampling plan, "
-                f"got sampling={self.sampling!r}"
             )
         if self.target_ci_width is not None:
             if isinstance(self.target_ci_width, bool) or not isinstance(
@@ -287,12 +274,6 @@ class CampaignSpec:
             "target_ci_width": self.target_ci_width,
             "geometry": dict(self.geometry),
         }
-        if self.batch:
-            # Emitted only when on: the batch path is byte-identical to
-            # the scalar one, but the flag is still part of the spec, so
-            # a batch submission gets its own content address while every
-            # pre-existing (scalar) spec hash is untouched.
-            data["batch"] = True
         if self.mode == "replay":
             data["mode"] = self.mode
             data["replay"] = {
@@ -351,7 +332,7 @@ class CampaignSpec:
                 kwargs["tsv_fit"] = float(kwargs["tsv_fit"])
             if "scrub_hours" in kwargs:
                 kwargs["scrub_hours"] = float(kwargs["scrub_hours"])
-            for boolean in ("dds", "modes", "telemetry", "batch"):
+            for boolean in ("dds", "modes", "telemetry"):
                 if boolean in kwargs and not isinstance(kwargs[boolean], bool):
                     raise SpecError(
                         f"{boolean} must be a boolean, got {kwargs[boolean]!r}"
@@ -417,7 +398,6 @@ class CampaignSpec:
             collect_metrics=self.telemetry,
             sampling=self.sampling,
             target_ci_width=self.target_ci_width,
-            batch_trials=self.batch,
         )
 
     def replay_config(self) -> ReplayConfig:

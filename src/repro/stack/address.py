@@ -99,8 +99,3 @@ class AddressMapper:
             self.num_lines,
         )
         return address
-
-    def col_bit_range(self, slot: int) -> range:
-        """Bit offsets within the row occupied by line ``slot``."""
-        line_bits = self.geometry.line_bits
-        return range(slot * line_bits, (slot + 1) * line_bits)

@@ -225,7 +225,10 @@ class TraceWriter:
 def read_trace(path: Union[str, Path]) -> List[TraceRecord]:
     """Parse and schema-validate a JSONL trace file."""
     records: List[TraceRecord] = []
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise TelemetryError(f"unreadable trace file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -1,9 +1,10 @@
 """Differential tests for the vectorized batch trial kernel.
 
-The batch path (``EngineConfig.batch_trials``) is a *survival filter*: the
-array kernels may only claim a trial survives when the exact scalar
-simulator would agree, and every other trial is re-run through the scalar
-path.  These tests pin both halves of that claim:
+The batch path (on by default; ``EngineConfig.batch_trials=False`` is the
+scalar oracle) is a *survival filter*: the array kernels may only claim a
+trial survives when the exact scalar simulator would agree, and every
+other trial is re-run through the scalar path.  These tests pin both
+halves of that claim:
 
 * byte-identity of ``ReliabilityResult`` documents between the scalar and
   batch engines for every registered scheme, across worker counts, and
@@ -11,8 +12,9 @@ path.  These tests pin both halves of that claim:
 * hypothesis soundness at the kernel boundary — crowded random fault
   sets where a ``survives`` verdict must match a from-scratch scalar
   simulation of the same trial;
-* the dispatch contract — silent scalar fallback for observability runs
-  and kernel-less models, loud errors for impossible configurations.
+* the dispatch contract — the batch path is the default for naive runs,
+  with silent scalar fallback for observability runs, kernel-less models
+  and sampled plans.
 """
 
 import json
@@ -22,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.parity3dp import make_3dp
-from repro.errors import ContractViolation
 from repro.faults.injector import FaultSpec
 from repro.faults.rates import FailureRates
 from repro.faults.types import FaultKind, Permanence
@@ -273,6 +274,14 @@ class TestDispatch:
         assert sim.model.batch_kernel() is None
         assert make_batch_runner(sim) is None
 
-    def test_batch_requires_naive_sampling(self):
-        with pytest.raises(ContractViolation):
-            EngineConfig(batch_trials=True, sampling="stratified")
+    def test_batch_is_the_default(self):
+        sim = LifetimeSimulator(GEOM, RATES, make_3dp(GEOM), EngineConfig())
+        assert isinstance(make_batch_runner(sim), BatchTrialKernel)
+
+    def test_sampled_plan_ignores_the_switch(self):
+        default = LifetimeSimulator(
+            GEOM, RATES, make_3dp(GEOM), EngineConfig(sampling="stratified"),
+            seed=5,
+        ).run(300)
+        scalar = run_once("3dp", 5, batch=False, sampling="stratified")
+        assert doc(default) == doc(scalar)

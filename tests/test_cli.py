@@ -227,3 +227,9 @@ class TestObservabilityCommands:
     def test_stats_export_requires_trace(self, capsys):
         assert main(["stats", "--export", "chrome"]) == 2
         assert "--trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("export", [[], ["--export", "chrome"]])
+    def test_stats_missing_trace_exits_2(self, capsys, tmp_path, export):
+        missing = str(tmp_path / "missing.jsonl")
+        assert main(["stats", "--trace", missing, *export]) == 2
+        assert "error: unreadable trace file" in capsys.readouterr().err

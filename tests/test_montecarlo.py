@@ -196,7 +196,8 @@ class TestSampledWeight:
     probability so the two formulas cannot drift apart unnoticed."""
 
     def test_result_weight_is_exactly_the_sampled_weight(self, geom):
-        sim = simulator(geom, make_3dp(geom))
+        # sample_lifetime is only called by the scalar loop.
+        sim = simulator(geom, make_3dp(geom), batch_trials=False)
         sampled = []
         original = sim.injector.sample_lifetime
 
@@ -214,13 +215,31 @@ class TestSampledWeight:
         from repro import contracts
         from repro.errors import ContractViolation
 
-        sim = simulator(geom, make_3dp(geom))
+        sim = simulator(geom, make_3dp(geom), batch_trials=False)
         original = sim.injector.sample_lifetime
 
         def tampered(lifetime_hours, min_faults=0):
             faults, weight = original(lifetime_hours, min_faults=min_faults)
             return faults, weight * 0.5  # a silently biased estimator
         sim.injector.sample_lifetime = tampered
+        if not contracts.enabled():
+            pytest.skip("contracts disabled in this environment")
+        with pytest.raises(ContractViolation):
+            sim.run(trials=2, min_faults=2)
+
+    def test_disagreeing_weight_violates_contract_on_batch_path(self, geom):
+        from repro import contracts
+        from repro.errors import ContractViolation
+        from repro.reliability.batch import BatchTrialKernel, make_batch_runner
+
+        sim = simulator(geom, make_3dp(geom))
+        assert isinstance(make_batch_runner(sim), BatchTrialKernel)
+        original = sim.injector.sample_count
+
+        def tampered(lifetime_hours, min_faults=0):
+            count, weight = original(lifetime_hours, min_faults=min_faults)
+            return count, weight * 0.5  # a silently biased estimator
+        sim.injector.sample_count = tampered
         if not contracts.enabled():
             pytest.skip("contracts disabled in this environment")
         with pytest.raises(ContractViolation):

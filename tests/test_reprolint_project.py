@@ -705,9 +705,10 @@ class TestRepro010:
 
 class TestProjectLockfileCurrent:
     """The checked-in lockfile must reflect the current schema surface:
-    CHECKPOINT_VERSION 9 (one correctability path, after the append-only
-    checkpoint segments of v8) plus the sampling, run-provenance, replay,
-    and batch schema growth."""
+    CHECKPOINT_VERSION 10 (the batch path on by default and no spec
+    ``batch`` field, after v9's one correctability path and v8's
+    append-only checkpoint segments) plus the sampling, run-provenance,
+    replay, and batch schema growth."""
 
     LOCKFILE = (
         Path(__file__).resolve().parent.parent
@@ -716,9 +717,9 @@ class TestProjectLockfileCurrent:
         / "schema_lock.json"
     )
 
-    def test_lockfile_records_checkpoint_version_9(self):
+    def test_lockfile_records_checkpoint_version_10(self):
         locked = json.loads(self.LOCKFILE.read_text())
-        assert locked["checkpoint_version"] == 9
+        assert locked["checkpoint_version"] == 10
 
     def test_lockfile_covers_batch_schema_surface(self):
         locked = json.loads(self.LOCKFILE.read_text())
@@ -726,7 +727,7 @@ class TestProjectLockfileCurrent:
         engine = classes["repro.reliability.montecarlo.EngineConfig"]
         assert any(f.startswith("batch_trials:") for f in engine)
         spec = classes["repro.service.jobs.CampaignSpec"]
-        assert any(f.startswith("batch:") for f in spec)
+        assert not any(f.startswith("batch:") for f in spec)
 
     def test_lockfile_covers_sampling_schema_surface(self):
         locked = json.loads(self.LOCKFILE.read_text())

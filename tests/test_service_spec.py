@@ -82,6 +82,10 @@ class TestValidation:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(SpecError, match="unknown spec field"):
             CampaignSpec.from_dict({"scheme": "secded", "workers": 4})
+        # The engine picks the batch path itself, so a document that
+        # still asks for it is rejected, not given a second address.
+        with pytest.raises(SpecError, match="unknown spec field"):
+            CampaignSpec.from_dict({"scheme": "citadel", "batch": True})
 
     def test_from_dict_rejects_wrong_schema(self):
         with pytest.raises(SpecError, match="schema"):
@@ -120,6 +124,13 @@ class TestCanonicalization:
         a = CampaignSpec(geometry={"data_dies": 4, "banks_per_die": 8})
         b = CampaignSpec(geometry={"banks_per_die": 8, "data_dies": 4})
         assert a.spec_hash() == b.spec_hash()
+
+    def test_default_spec_hash_is_pinned(self):
+        # Content addresses of filed results must survive refactors of
+        # the spec's fields.
+        assert CampaignSpec().spec_hash() == (
+            "1c4f4f033344fb512229155b9c4dd4cd599a5ef82a5e65758c4a63048db0ea7a"
+        )
 
     def test_canonical_json_is_byte_stable(self):
         spec = CampaignSpec(scheme="secded", trials=500, seed=9)

@@ -150,6 +150,20 @@ class TestIntegrity:
         with pytest.raises(StoreError, match="content address"):
             ResultStore(tmp_path / "store").get(spec)
 
+    def test_unparseable_filed_spec_is_a_store_error(self, tmp_path):
+        # A filed spec that no longer parses (here: the retired
+        # ``"batch": true`` field) is a corrupt entry, not a bad
+        # submission; a SpecError would surface as HTTP 400.
+        store = ResultStore(tmp_path / "store")
+        spec = make_spec(seed=2)
+        store.put(spec, make_result(spec))
+        path = tmp_path / "store" / f"{spec.spec_hash()}.json"
+        entry = json.loads(path.read_text())
+        entry["spec"]["batch"] = True
+        path.write_text(json.dumps(entry))
+        with pytest.raises(StoreError, match="malformed store entry"):
+            ResultStore(tmp_path / "store").get(spec)
+
     def test_wrong_schema_raises(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         spec = make_spec()
