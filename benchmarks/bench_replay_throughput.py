@@ -19,10 +19,7 @@ import pytest
 
 from conftest import BENCH_WORKERS, RESULTS_DIR, emit, scaled
 from repro.analysis.report import ExperimentReport
-from repro.core.parity3dp import make_3dp
-from repro.faults.rates import FailureRates
-from repro.reliability.montecarlo import EngineConfig
-from repro.replay import ReplayCampaignRunner, ReplayConfig
+from repro.service.jobs import CampaignSpec
 from repro.telemetry.files import write_json_atomic
 
 TRIALS = scaled(64, floor=8)
@@ -34,29 +31,21 @@ CORES = 4
 THROUGHPUT_FLOOR = 2000.0
 
 
-def make_runner(geometry, workers):
-    return ReplayCampaignRunner(
-        geometry,
-        FailureRates.paper_baseline(tsv_device_fit=500.0),
-        make_3dp(geometry),
-        EngineConfig(tsv_swap_standby=4, use_dds=True),
-        ReplayConfig(
-            workload="zipfian", cores=CORES,
-            requests_per_core=REQUESTS_PER_CORE,
-        ),
-        root_seed=42,
-        workers=workers,
-        shard_size=4,
-    )
+def make_runner(workers):
+    return CampaignSpec(
+        mode="replay", scheme="citadel", tsv_fit=500.0, seed=42,
+        trials=TRIALS, shard_size=4, workload="zipfian",
+        replay_cores=CORES, requests=REQUESTS_PER_CORE,
+    ).runner(workers)
 
 
 @pytest.mark.benchmark(group="replay")
-def test_replay_throughput_and_worker_identity(benchmark, geometry):
+def test_replay_throughput_and_worker_identity(benchmark):
     def experiment():
         t0 = time.perf_counter()
-        serial = make_runner(geometry, workers=1).run(trials=TRIALS)
+        serial = make_runner(workers=1).run(trials=TRIALS)
         t_serial = time.perf_counter() - t0
-        pooled = make_runner(geometry, workers=BENCH_WORKERS or 4).run(
+        pooled = make_runner(workers=BENCH_WORKERS or 4).run(
             trials=TRIALS
         )
         return serial, pooled, t_serial

@@ -56,10 +56,14 @@ class CorrectionModel(abc.ABC):
     def is_uncorrectable(self, faults: Sequence[Fault]) -> bool:
         """True iff the fault set causes data loss."""
 
-    def min_faults_to_fail(self) -> int:
+    def min_faults_to_fail(self, tsv_possible: bool = True) -> int:
         """Lower bound on simultaneous faults needed for data loss.
 
-        Conservative default: a single fault may be fatal.
+        ``tsv_possible`` is False when the campaign can sample no TSV fault
+        that survives mitigation (zero TSV FIT, or TSV-Swap absorbs every
+        one); schemes whose single-fault loss comes only from a TSV fault
+        then report a higher floor.  Conservative default: a single fault
+        may be fatal.
         """
         return 1
 

@@ -24,8 +24,10 @@ The soundness argument shared by every kernel:
   possibly-co-live superset" implies "correctable at every prefix".
 
 All set algebra happens on the FaultSim address+mask representation
-(:mod:`repro.faults.footprint`) flattened to int64 columns; the formulas
-below mirror ``RangeMask.intersects``/``covers`` bit-for-bit and the
+(:mod:`repro.faults.footprint`) flattened to int64 columns.  The columns
+are :meth:`repro.faults.types.FaultSpec.footprint_masks`, the same masks
+the scalar path's ``Fault`` objects are built from; the formulas below
+mirror ``RangeMask.intersects``/``covers`` bit-for-bit and the
 batch-vs-scalar differential tests hold the two in lock-step.
 """
 
@@ -55,7 +57,7 @@ class TrialBatch:
     TSV-Swap are excluded by the engine before assembly).  Faults of a
     trial appear contiguously in arrival-time order.  ``die`` holds the
     channel and ``bank`` is -1 for TSV faults, mirroring
-    :class:`repro.faults.injector.FaultSpec`.
+    :class:`repro.faults.types.FaultSpec`.
     """
 
     def __init__(

@@ -7,6 +7,12 @@ location) by sampling proportionally to the individual rates, and placed
 uniformly at random inside the structure it affects — exactly the procedure
 described for FaultSim [10].
 
+Each placement is drawn as a :class:`~repro.faults.types.FaultSpec`
+(importable from here too, where the batch trial kernel takes it): the
+batch path reads its masks directly, and the scalar path turns it into a
+``Fault`` with :meth:`FaultSpec.build`.  The shapes themselves live only
+in :meth:`FaultSpec.footprint_masks`.
+
 For very reliable schemes (Citadel's failure probability is ~1e-6 per
 lifetime) naive sampling wastes almost every trial on empty lifetimes, so
 :meth:`FaultInjector.sample_lifetime` supports *stratified* sampling: the
@@ -31,15 +37,9 @@ from repro.faults.types import (
     WORD_BITS,
     Fault,
     FaultKind,
+    FaultSpec,
     Permanence,
-    make_addr_tsv_fault,
-    make_bank_fault,
-    make_bit_fault,
-    make_column_fault,
-    make_data_tsv_fault,
-    make_row_fault,
-    make_subarray_fault,
-    make_word_fault,
+    check_dtsv_layout,
 )
 from repro.rng import make_rng
 from repro.stack.geometry import LIFETIME_HOURS, StackGeometry
@@ -104,151 +104,6 @@ class _RateEntry:
     rate_per_hour: float
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """The sampled identity of one fault, before ``Fault`` construction.
-
-    A spec captures exactly the information the injector's random draws
-    decide — final kind (after the BANK->SUBARRAY transposition and the
-    DTSV/ATSV split), permanence, location coordinates — in a flat,
-    array-friendly record.  ``build`` turns it into a full :class:`Fault`
-    through the ``make_*`` constructors, so the scalar path and the batch
-    trial kernel share one source of truth for both the draw sequence and
-    the footprint shapes.
-
-    Coordinate conventions: ``die`` holds the channel for TSV kinds and
-    ``bank`` is -1 (a TSV fault spans every bank of its die).  ``a``/``b``
-    are the kind-specific placement draws:
-
-    ========== ======================= =================
-    kind        a                       b
-    ========== ======================= =================
-    BIT         row                     column bit
-    WORD        row                     word index
-    COLUMN      column bit              (unused)
-    ROW         row                     (unused)
-    SUBARRAY    subarray                (unused)
-    BANK        (unused)                (unused)
-    DATA_TSV    tsv index               (unused)
-    ADDR_TSV    tsv index               stuck value
-    ========== ======================= =================
-    """
-
-    kind: FaultKind
-    permanence: Permanence
-    die: int
-    bank: int
-    a: int = 0
-    b: int = 0
-
-    def __post_init__(self) -> None:
-        # Hot path (one spec per sampled fault): short-circuit so the
-        # common all-in-range case costs two comparisons.
-        if self.die < 0 or self.bank < -1 or (
-            self.bank < 0 and not self.kind.is_tsv
-        ):
-            contracts.require(
-                False,
-                "FaultSpec coordinates out of range: die=%d bank=%d kind=%s",
-                self.die,
-                self.bank,
-                self.kind.value,
-            )
-
-    def footprint_masks(self, geometry: StackGeometry) -> Tuple[int, int, int, int]:
-        """``(row_base, row_mask, col_base, col_mask)`` of the built fault.
-
-        The canonicalized address+mask pairs :meth:`build`'s footprint
-        would carry, as plain ints — the array-shaped view the batch trial
-        kernels consume without constructing ``Fault`` objects.  Mirrors
-        the ``make_*`` constructors bit-for-bit; the batch-vs-scalar
-        differential tests hold the two in lock-step.
-        """
-        kind = self.kind
-        row_universe = (1 << geometry.row_address_bits) - 1
-        col_universe = (1 << geometry.col_address_bits) - 1
-        if kind is FaultKind.BIT:
-            return self.a, 0, self.b, 0
-        if kind is FaultKind.WORD:
-            word_bits = min(WORD_BITS, geometry.row_bits)
-            return self.a, 0, self.b * word_bits, word_bits - 1
-        if kind is FaultKind.COLUMN:
-            return 0, row_universe, self.a, 0
-        if kind is FaultKind.ROW:
-            return self.a, 0, 0, col_universe
-        if kind is FaultKind.SUBARRAY:
-            return (
-                self.a * geometry.rows_per_subarray,
-                geometry.rows_per_subarray - 1,
-                0,
-                col_universe,
-            )
-        if kind is FaultKind.BANK:
-            return 0, row_universe, 0, col_universe
-        if kind is FaultKind.DATA_TSV:
-            num_dtsv = geometry.data_tsvs_per_channel
-            burst = geometry.line_bits // num_dtsv
-            burst_mask = (burst - 1) * num_dtsv if burst > 1 else 0
-            line_select_mask = col_universe & ~(geometry.line_bits - 1)
-            col_mask = burst_mask | line_select_mask
-            return 0, row_universe, self.a & ~col_mask, col_mask
-        if kind is FaultKind.ADDR_TSV:
-            bit = self.a % geometry.row_address_bits
-            return (
-                (1 - self.b) << bit,
-                row_universe & ~(1 << bit),
-                0,
-                col_universe,
-            )
-        raise ConfigurationError(f"unsupported fault kind: {kind}")
-
-    def build(self, geometry: StackGeometry, time_hours: float = 0.0) -> Fault:
-        kind = self.kind
-        if kind is FaultKind.BIT:
-            return make_bit_fault(
-                geometry, self.die, self.bank, self.a, self.b,
-                self.permanence, time_hours,
-            )
-        if kind is FaultKind.WORD:
-            return make_word_fault(
-                geometry, self.die, self.bank, self.a, self.b,
-                self.permanence, time_hours,
-            )
-        if kind is FaultKind.COLUMN:
-            return make_column_fault(
-                geometry, self.die, self.bank, self.a,
-                self.permanence, time_hours,
-            )
-        if kind is FaultKind.ROW:
-            return make_row_fault(
-                geometry, self.die, self.bank, self.a,
-                self.permanence, time_hours,
-            )
-        if kind is FaultKind.SUBARRAY:
-            return make_subarray_fault(
-                geometry, self.die, self.bank, self.a,
-                self.permanence, time_hours,
-            )
-        if kind is FaultKind.BANK:
-            return make_bank_fault(
-                geometry, self.die, self.bank, self.permanence, time_hours
-            )
-        if kind is FaultKind.DATA_TSV:
-            return make_data_tsv_fault(
-                geometry, self.die, self.a, self.permanence, time_hours
-            )
-        if kind is FaultKind.ADDR_TSV:
-            return make_addr_tsv_fault(
-                geometry,
-                self.die,
-                self.a,
-                stuck_value=self.b,
-                permanence=self.permanence,
-                time_hours=time_hours,
-            )
-        raise ConfigurationError(f"unsupported fault kind: {kind}")
-
-
 class FaultInjector:
     """Samples the fault history of one stack over a lifetime."""
 
@@ -285,6 +140,7 @@ class FaultInjector:
                         _RateEntry(kind, permanence, fit * num_dies * _FIT_TO_PER_HOUR)
                     )
         if rates.tsv_device_fit > 0:
+            check_dtsv_layout(geometry)
             entries.append(
                 _RateEntry(
                     FaultKind.DATA_TSV,  # refined into DTSV/ATSV when placed
@@ -347,7 +203,8 @@ class FaultInjector:
     def sample_kinds(self, count: int) -> List[Fault]:
         """``count`` faults with kind/permanence/placement but no arrival
         time yet (the time-independent half of the arrival process)."""
-        return [self._sample_fault() for _ in range(count)]
+        geometry = self.geometry
+        return [self._sample_spec().build(geometry) for _ in range(count)]
 
     @staticmethod
     def place_at(faults: List[Fault], times: List[float]) -> List[Fault]:
@@ -444,9 +301,6 @@ class FaultInjector:
             return self._sample_tsv_spec()
         return self._sample_dram_spec(entry.kind, entry.permanence)
 
-    def _sample_fault(self) -> Fault:
-        return self._sample_spec().build(self.geometry)
-
     def _sample_die(self) -> int:
         num_dies = (
             self.geometry.total_dies
@@ -470,58 +324,29 @@ class FaultInjector:
         geometry, rng = self.geometry, self.rng
         die = self._sample_die()
         bank = self._sample_bank()
+        # Table I's "single bank" rate: transposed to subarray failures
+        # unless the 'full' ablation is selected (§II-B, Figure 17).
+        if (
+            kind is FaultKind.BANK
+            and self.rates.bank_fault_granularity == "subarray"
+        ):
+            kind = FaultKind.SUBARRAY
+        a = b = 0
         if kind is FaultKind.BIT:
-            return FaultSpec(
-                kind,
-                permanence,
-                die,
-                bank,
-                rng.randrange(geometry.rows_per_bank),
-                rng.randrange(geometry.row_bits),
-            )
-        if kind is FaultKind.WORD:
-            words_per_row = max(1, geometry.row_bits // WORD_BITS)
-            return FaultSpec(
-                kind,
-                permanence,
-                die,
-                bank,
-                rng.randrange(geometry.rows_per_bank),
-                rng.randrange(words_per_row),
-            )
-        if kind is FaultKind.COLUMN:
-            return FaultSpec(
-                kind, permanence, die, bank, rng.randrange(geometry.row_bits)
-            )
-        if kind is FaultKind.ROW:
-            return FaultSpec(
-                kind,
-                permanence,
-                die,
-                bank,
-                rng.randrange(geometry.rows_per_bank),
-            )
-        if kind is FaultKind.SUBARRAY:
-            return FaultSpec(
-                kind,
-                permanence,
-                die,
-                bank,
-                rng.randrange(geometry.subarrays_per_bank),
-            )
-        if kind is FaultKind.BANK:
-            # Table I's "single bank" rate: transposed to subarray failures
-            # unless the 'full' ablation is selected (§II-B, Figure 17).
-            if self.rates.bank_fault_granularity == "subarray":
-                return FaultSpec(
-                    FaultKind.SUBARRAY,
-                    permanence,
-                    die,
-                    bank,
-                    rng.randrange(geometry.subarrays_per_bank),
-                )
-            return FaultSpec(kind, permanence, die, bank)
-        raise ConfigurationError(f"unsupported DRAM fault kind: {kind}")
+            a = rng.randrange(geometry.rows_per_bank)
+            b = rng.randrange(geometry.row_bits)
+        elif kind is FaultKind.WORD:
+            a = rng.randrange(geometry.rows_per_bank)
+            b = rng.randrange(max(1, geometry.row_bits // WORD_BITS))
+        elif kind is FaultKind.COLUMN:
+            a = rng.randrange(geometry.row_bits)
+        elif kind is FaultKind.ROW:
+            a = rng.randrange(geometry.rows_per_bank)
+        elif kind is FaultKind.SUBARRAY:
+            a = rng.randrange(geometry.subarrays_per_bank)
+        elif kind is not FaultKind.BANK:
+            raise ConfigurationError(f"unsupported DRAM fault kind: {kind}")
+        return FaultSpec(kind, permanence, die, bank, a, b)
 
     def _sample_tsv_spec(self) -> FaultSpec:
         """TSV faults land on a uniformly random TSV of a random channel.

@@ -23,12 +23,11 @@ while spending no time on empty lifetimes.
 
 from __future__ import annotations
 
-import inspect
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import contracts
 from repro.core.dds import DDSController
@@ -192,20 +191,7 @@ class LifetimeSimulator:
         tsv_possible = (
             self.rates.tsv_device_fit > 0 and self.config.tsv_swap_standby is None
         )
-        # Dispatch on the declared signature.  Calling with the argument
-        # and falling back on TypeError would also swallow TypeErrors
-        # raised *inside* the model and silently strand the scheme on the
-        # wrong stratum.
-        min_faults_to_fail = self.model.min_faults_to_fail
-        try:
-            parameters: Mapping[str, object] = inspect.signature(
-                min_faults_to_fail
-            ).parameters
-        except (TypeError, ValueError):  # pragma: no cover - C callables
-            parameters = {}
-        if "tsv_possible" in parameters:
-            return min_faults_to_fail(tsv_possible)
-        return min_faults_to_fail()
+        return self.model.min_faults_to_fail(tsv_possible)
 
     # ------------------------------------------------------------------ #
     def run(
@@ -275,7 +261,7 @@ class LifetimeSimulator:
             metrics.inc("engine/failures", failures)
             metrics = metrics.deterministic_snapshot()
         return ReliabilityResult(
-            scheme_name=label if label is not None else self._label(),
+            scheme_name=label if label is not None else self.scheme_label(),
             trials=trials,
             failures=failures,
             stratum_weight=weight,
@@ -289,9 +275,6 @@ class LifetimeSimulator:
 
     def scheme_label(self) -> str:
         """Default result label for this (model, mitigations) combination."""
-        return self._label()
-
-    def _label(self) -> str:
         parts = [self.model.name]
         if self.config.tsv_swap_standby is not None:
             parts.append("TSV-Swap")
@@ -541,7 +524,7 @@ class LifetimeSimulator:
             metrics.inc("engine/failures", failures)
             metrics = metrics.deterministic_snapshot()
         return ReliabilityResult(
-            scheme_name=label if label is not None else self._label(),
+            scheme_name=label if label is not None else self.scheme_label(),
             trials=trials,
             failures=failures,
             stratum_weight=1.0,

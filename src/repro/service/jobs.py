@@ -31,7 +31,7 @@ import hashlib
 import json
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -150,6 +150,18 @@ class CampaignSpec:
             if not isinstance(self.thermal, bool):
                 raise SpecError(
                     f"thermal must be a boolean, got {self.thermal!r}"
+                )
+            # A replay campaign runs every planned trial naively and
+            # attributes no failure modes; a spec asking otherwise would
+            # be filed under a second address for the same result.
+            if (
+                self.sampling != "naive"
+                or self.target_ci_width is not None
+                or self.modes
+            ):
+                raise SpecError(
+                    "replay specs take no sampling, target_ci_width or "
+                    "modes (replay runs naive sampling to completion)"
                 )
         else:
             # Replay-only knobs are meaningless for reliability
@@ -481,8 +493,3 @@ class Job:
             "cache_hit": self.cache_hit,
             "elapsed_seconds": self.elapsed_seconds,
         }
-
-
-def clone_spec(spec: CampaignSpec, **overrides: Any) -> CampaignSpec:
-    """A copy of ``spec`` with ``overrides`` applied (re-validated)."""
-    return replace(spec, **overrides)

@@ -41,11 +41,7 @@ from repro.telemetry.exposition import (
     render_openmetrics,
 )
 from repro.telemetry.files import atomic_write_text, write_json_atomic
-from repro.telemetry.manifest import (
-    RunManifest,
-    schemes_registry_hash,
-    volatile_provenance,
-)
+from repro.telemetry.manifest import RunManifest, schemes_registry_hash
 from repro.telemetry.profile import (
     SamplingProfiler,
     collapse_spans,
@@ -81,7 +77,6 @@ __all__ = [
     "parse_openmetrics",
     "RunManifest",
     "schemes_registry_hash",
-    "volatile_provenance",
     "SamplingProfiler",
     "collapse_spans",
     "trace_to_chrome",

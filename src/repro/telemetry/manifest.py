@@ -11,10 +11,8 @@ printed by ``repro status``.
 
 Determinism boundary: the manifest's serialized core is a pure function
 of the campaign configuration — **no** hostname, wall-clock time,
-platform string or PID.  Those belong to :func:`volatile_provenance`,
-which is only ever called from display paths (``repro status`` output,
-profiler reports) and must never feed a serialization sink; reprolint
-REPRO008 enforces the reachability side of that contract.
+platform string or PID; reprolint REPRO008 keeps wall-clock reads out
+of every serialization sink.
 
 The ``spec_hash`` field is optional and unset on runner-attached
 manifests: a direct ``repro reliability`` run has no service spec, and
@@ -130,21 +128,3 @@ class RunManifest:
         if self.spec_hash is not None:
             lines.append(f"spec hash       {self.spec_hash}")
         return lines
-
-
-def volatile_provenance() -> Dict[str, Any]:
-    """Host/time context for *display only* — never serialized into
-    results, manifests, checkpoints or any deterministic artifact.
-    """
-    import os
-    import platform
-    import sys
-    import time
-
-    return {
-        "hostname": platform.node(),
-        "platform": platform.platform(),
-        "python": sys.version.split()[0],
-        "pid": os.getpid(),
-        "unix_time": time.time(),
-    }

@@ -32,7 +32,6 @@ from __future__ import annotations
 import re
 import sys
 import threading
-import time
 from pathlib import Path
 from types import FrameType
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -223,20 +222,3 @@ def trace_to_chrome(records: Sequence[TraceRecord]) -> Dict[str, Any]:
             raise TelemetryError(f"unknown record kind {record.kind!r}")
         events.append(base)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def profile_callable(
-    fn: Any, *, interval_s: float = 0.005
-) -> Dict[str, Any]:
-    """Run ``fn()`` under a :class:`SamplingProfiler`; return its result
-    plus the profiler's folded stacks and sample count."""
-    profiler = SamplingProfiler(interval_s=interval_s)
-    started = time.monotonic()
-    with profiler:
-        result = fn()
-    return {
-        "result": result,
-        "collapsed": profiler.collapsed(),
-        "samples": profiler.sample_count,
-        "wall_seconds": time.monotonic() - started,
-    }

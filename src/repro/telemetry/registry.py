@@ -189,22 +189,6 @@ def _opt_max(a: Optional[float], b: Optional[float]) -> Optional[float]:
     return max(a, b)
 
 
-class _TimerBlock:
-    """Context manager recording one monotonic duration into a registry."""
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-        self._started = 0.0
-
-    def __enter__(self) -> "_TimerBlock":
-        self._started = monotonic_s()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._registry.record_seconds(self._name, monotonic_s() - self._started)
-
-
 class MetricsRegistry:
     """Counters, gauges, histograms and timers under one namespace.
 
@@ -301,10 +285,6 @@ class MetricsRegistry:
                 timer = Timer()
                 self._timers[name] = timer
             timer.record(seconds)
-
-    def time_block(self, name: str) -> _TimerBlock:
-        """``with registry.time_block("phase"):`` — record a duration."""
-        return _TimerBlock(self, name)
 
     # ------------------------------------------------------------------ #
     # Reading

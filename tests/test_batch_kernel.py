@@ -115,44 +115,42 @@ class TestWorkerByteIdentity:
 # ---------------------------------------------------------------------- #
 #: Small coordinate pools force aliasing — the same trick as the
 #: incremental-correction differential.
-DIES = st.integers(0, min(3, GEOM.total_dies - 1))
-BANKS = st.integers(0, min(2, GEOM.banks_per_die - 1))
-ROWS = st.integers(0, 7)
-COLS = st.integers(0, min(127, GEOM.row_bits - 1))
 PERM = st.sampled_from([Permanence.TRANSIENT, Permanence.PERMANENT])
 
 
 @st.composite
-def crowded_specs(draw):
+def crowded_specs(draw, geom=GEOM):
     kind = draw(
         st.sampled_from(
             ["bit", "word", "row", "column", "subarray", "bank", "dtsv", "atsv"]
         )
     )
     perm = draw(PERM)
-    die = draw(DIES)
-    bank = draw(BANKS)
+    die = draw(st.integers(0, min(3, geom.total_dies - 1)))
+    bank = draw(st.integers(0, min(2, geom.banks_per_die - 1)))
+    rows = st.integers(0, min(7, geom.rows_per_bank - 1))
+    cols = st.integers(0, min(127, geom.row_bits - 1))
     if kind == "bit":
-        return FaultSpec(FaultKind.BIT, perm, die, bank, draw(ROWS), draw(COLS))
+        return FaultSpec(FaultKind.BIT, perm, die, bank, draw(rows), draw(cols))
     if kind == "word":
-        word = draw(st.integers(0, min(3, GEOM.row_bits // 32 - 1)))
-        return FaultSpec(FaultKind.WORD, perm, die, bank, draw(ROWS), word)
+        word = draw(st.integers(0, min(3, geom.row_bits // 32 - 1)))
+        return FaultSpec(FaultKind.WORD, perm, die, bank, draw(rows), word)
     if kind == "row":
-        return FaultSpec(FaultKind.ROW, perm, die, bank, draw(ROWS), 0)
+        return FaultSpec(FaultKind.ROW, perm, die, bank, draw(rows), 0)
     if kind == "column":
-        return FaultSpec(FaultKind.COLUMN, perm, die, bank, draw(COLS), 0)
+        return FaultSpec(FaultKind.COLUMN, perm, die, bank, draw(cols), 0)
     if kind == "subarray":
-        sub = draw(st.integers(0, min(1, GEOM.subarrays_per_bank - 1)))
+        sub = draw(st.integers(0, min(1, geom.subarrays_per_bank - 1)))
         return FaultSpec(FaultKind.SUBARRAY, perm, die, bank, sub, 0)
     if kind == "bank":
         return FaultSpec(FaultKind.BANK, perm, die, bank, 0, 0)
-    channel = draw(st.integers(0, min(3, GEOM.channels - 1)))
+    channel = draw(st.integers(0, min(3, geom.channels - 1)))
     if kind == "dtsv":
-        idx = draw(st.integers(0, min(7, GEOM.data_tsvs_per_channel - 1)))
+        idx = draw(st.integers(0, min(7, geom.data_tsvs_per_channel - 1)))
         return FaultSpec(
             FaultKind.DATA_TSV, Permanence.PERMANENT, channel, -1, idx, 0
         )
-    idx = draw(st.integers(0, min(3, GEOM.addr_tsvs_per_channel - 1)))
+    idx = draw(st.integers(0, min(3, geom.addr_tsvs_per_channel - 1)))
     return FaultSpec(
         FaultKind.ADDR_TSV, Permanence.PERMANENT, channel, -1, idx,
         draw(st.integers(0, 1)),
@@ -229,6 +227,58 @@ class TestKernelSoundness:
         batch = build_single_trial_batch([], [], config.scrub_interval_hours)
         kernel = SCHEMES[scheme](GEOM).batch_kernel()
         assert bool(kernel.survives(batch)[0])
+
+
+# ---------------------------------------------------------------------- #
+# The one shape definition, against closed-form sizes
+# ---------------------------------------------------------------------- #
+SMALL = StackGeometry.small()
+
+
+def expected_shape(spec, g):
+    """``(total bits, banks touched, (row, col) of the drawn anchor)`` of a
+    spec's fault, from the paper's shape descriptions (Figure 2, §V-B)
+    without going through address masks."""
+    word_bits = 32
+    num_dtsv = g.data_tsvs_per_channel
+    return {
+        FaultKind.BIT: (1, 1, (spec.a, spec.b)),
+        FaultKind.WORD: (word_bits, 1, (spec.a, spec.b * word_bits)),
+        FaultKind.COLUMN: (g.rows_per_bank, 1, (g.rows_per_bank - 1, spec.a)),
+        FaultKind.ROW: (g.row_bits, 1, (spec.a, g.row_bits - 1)),
+        FaultKind.SUBARRAY: (
+            g.rows_per_subarray * g.row_bits, 1,
+            (spec.a * g.rows_per_subarray, 0),
+        ),
+        FaultKind.BANK: (g.rows_per_bank * g.row_bits, 1, (0, 0)),
+        # DTSV k carries bit k of every line's D-bit beat, for every beat
+        # of the burst, in every row of every bank of its die.
+        FaultKind.DATA_TSV: (
+            g.banks_per_die * g.rows_per_bank * g.lines_per_row
+            * g.line_bits // num_dtsv,
+            g.banks_per_die,
+            (0, spec.a),
+        ),
+        # A stuck ATSV hides the half of the rows whose (folded) address
+        # bit differs from the stuck value, in every bank of its die.
+        FaultKind.ADDR_TSV: (
+            g.rows_per_bank // 2 * g.row_bits * g.banks_per_die,
+            g.banks_per_die,
+            ((1 - spec.b) << (spec.a % g.row_address_bits), 0),
+        ),
+    }[spec.kind]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=crowded_specs(SMALL))
+def test_built_footprint_matches_closed_form_shape(spec):
+    bits, banks, (row, col) = expected_shape(spec, SMALL)
+    footprint = spec.build(SMALL).footprint
+    assert footprint.total_bits() == bits, spec
+    assert footprint.dies == {spec.die}, spec
+    assert footprint.num_bank_instances == banks, spec
+    anchor_bank = spec.bank if banks == 1 else SMALL.banks_per_die - 1
+    assert footprint.contains(spec.die, anchor_bank, row, col), spec
 
 
 # ---------------------------------------------------------------------- #

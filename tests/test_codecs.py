@@ -1,4 +1,4 @@
-"""Tests for the functional codecs: GF(256), Reed-Solomon, Hamming SECDED."""
+"""Tests for the functional codecs: GF(256) and Reed-Solomon."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ecc import hamming
 from repro.ecc.gf256 import (
     gf_add,
     gf_div,
@@ -176,40 +175,3 @@ class TestReedSolomon:
         corrupted[3] = 0xFF  # one bank's symbol lost, location known
         assert code.decode(corrupted, erasures=[3]) == data
 
-
-class TestHammingSECDED:
-    @given(st.integers(0, (1 << 64) - 1))
-    @settings(max_examples=100)
-    def test_roundtrip(self, data):
-        result = hamming.decode(hamming.encode(data))
-        assert result.data == data
-        assert not result.had_error
-
-    @given(st.integers(0, (1 << 64) - 1), st.integers(0, 71))
-    @settings(max_examples=150)
-    def test_single_bit_corrected(self, data, bit):
-        cw = hamming.encode(data) ^ (1 << bit)
-        result = hamming.decode(cw)
-        assert result.data == data
-        assert result.had_error
-
-    @given(
-        st.integers(0, (1 << 64) - 1),
-        st.sets(st.integers(0, 71), min_size=2, max_size=2),
-    )
-    @settings(max_examples=150)
-    def test_double_bit_detected(self, data, bits):
-        cw = hamming.encode(data)
-        for bit in bits:
-            cw ^= 1 << bit
-        with pytest.raises(UncorrectableError):
-            hamming.decode(cw)
-
-    def test_overhead_matches_ecc_dimm(self):
-        assert hamming.storage_overhead_fraction() == 0.125
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            hamming.encode(1 << 64)
-        with pytest.raises(ConfigurationError):
-            hamming.decode(1 << 72)

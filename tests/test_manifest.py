@@ -27,7 +27,6 @@ from repro.telemetry.manifest import (
     MANIFEST_SCHEMA,
     RunManifest,
     schemes_registry_hash,
-    volatile_provenance,
 )
 
 
@@ -107,12 +106,6 @@ class TestRunManifestContract:
         data = make_manifest().to_dict()
         for banned in ("hostname", "unix_time", "pid", "platform"):
             assert banned not in data
-
-    def test_volatile_provenance_is_display_only_side(self):
-        context = volatile_provenance()
-        assert set(context) == {
-            "hostname", "platform", "python", "pid", "unix_time"
-        }
 
 
 class TestRunnerAttachment:

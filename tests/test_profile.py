@@ -24,7 +24,6 @@ from repro.telemetry.profile import (
     SamplingProfiler,
     collapse_spans,
     normalize_scope,
-    profile_callable,
     trace_to_chrome,
     write_collapsed,
 )
@@ -186,12 +185,6 @@ class TestSamplingProfiler:
     def test_rejects_non_positive_interval(self):
         with pytest.raises(Exception):
             SamplingProfiler(interval_s=0.0)
-
-    def test_profile_callable_wraps_result(self):
-        report = profile_callable(lambda: 42, interval_s=0.001)
-        assert report["result"] == 42
-        assert report["samples"] >= 0
-        assert report["wall_seconds"] >= 0.0
 
 
 class TestProfilerNeverChangesResults:

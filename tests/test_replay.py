@@ -411,12 +411,12 @@ def work_counts(monkeypatch):
     return counts
 
 
-def pinned_campaign(geom, **kw):
+def pinned_campaign(**kw):
     """The replay campaign whose results tests/golden/perf_small.json
     pins (see tools/regen_goldens.py)."""
     from tools.regen_goldens import replay_campaign_runner
 
-    return replay_campaign_runner(geom, **kw)
+    return replay_campaign_runner(**kw)
 
 
 def pinned_bytes(key):
@@ -471,20 +471,20 @@ class TestSharedWorkload:
     # Serial runs of both pinned campaigns are checked by
     # tests/test_golden_bench.py::TestGoldenPerf.
     @pytest.mark.parametrize("key", ["plain", "thermal"])
-    def test_two_workers_match_the_pinned_result(self, geom, key):
-        runner = pinned_campaign(geom, thermal=key == "thermal", workers=2)
+    def test_two_workers_match_the_pinned_result(self, key):
+        runner = pinned_campaign(thermal=key == "thermal", workers=2)
         assert campaign_bytes(runner.run(6)) == pinned_bytes(key)
 
     def test_resume_after_first_shard_matches_the_pinned_result(
-        self, geom, tmp_path, work_counts
+        self, tmp_path, work_counts
     ):
         ckpt = tmp_path / "replay.ckpt"
-        pinned_campaign(geom, checkpoint_path=ckpt).run(6)
+        pinned_campaign(checkpoint_path=ckpt).run(6)
         header, first, *_ = ckpt.read_text().splitlines(keepends=True)
         ckpt.write_text(header + first)
         work_counts.update(traces=0, runs=0)
         resumed = pinned_campaign(
-            geom, checkpoint_path=ckpt, resume=True
+            checkpoint_path=ckpt, resume=True
         ).run(6)
         assert campaign_bytes(resumed) == pinned_bytes("plain")
         # Two shards of two trials left: one baseline, four trials.
@@ -496,9 +496,9 @@ class TestSharedWorkload:
 # ---------------------------------------------------------------------- #
 class TestReplayCampaignLoop:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_crashed_shard_is_contained(self, geom, workers):
+    def test_crashed_shard_is_contained(self, workers):
         runner = pinned_campaign(
-            geom, workers=workers,
+            workers=workers,
             crash_injection=CrashInjection(raise_on=frozenset({1})),
         )
         result = runner.run(6)
@@ -507,21 +507,21 @@ class TestReplayCampaignLoop:
         assert report.partial
         assert result.trials == 4
 
-    def test_cancel_after_first_shard_then_resume(self, geom, tmp_path):
+    def test_cancel_after_first_shard_then_resume(self, tmp_path):
         ckpt = tmp_path / "replay.ckpt"
 
         def shard_recorded():
             return len(ckpt.read_text().splitlines()) > 1
 
         runner = pinned_campaign(
-            geom, checkpoint_path=ckpt, cancel_hook=shard_recorded
+            checkpoint_path=ckpt, cancel_hook=shard_recorded
         )
         partial = runner.run(6)
         assert runner.last_report.cancelled
         assert runner.last_report.merged_shards == 1
         assert partial.trials == 2
         resumed = pinned_campaign(
-            geom, checkpoint_path=ckpt, resume=True
+            checkpoint_path=ckpt, resume=True
         ).run(6)
         assert campaign_bytes(resumed) == pinned_bytes("plain")
 
@@ -647,6 +647,13 @@ class TestReplaySpec:
             CampaignSpec(mode="replay", requests=0)
         with pytest.raises(SpecError):
             CampaignSpec(mode="replay", thermal="yes")
+        # Reliability-only fields the replay runner would silently drop.
+        with pytest.raises(SpecError):
+            CampaignSpec(mode="replay", sampling="stratified")
+        with pytest.raises(SpecError):
+            CampaignSpec(mode="replay", target_ci_width=0.1)
+        with pytest.raises(SpecError):
+            CampaignSpec(mode="replay", modes=True)
 
     def test_store_round_trips_replay_results(self, geom, tmp_path):
         from repro.service.jobs import CampaignSpec

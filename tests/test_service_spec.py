@@ -23,7 +23,6 @@ from repro.service.jobs import (
     CampaignSpec,
     Job,
     JobState,
-    clone_spec,
 )
 
 
@@ -174,7 +173,8 @@ class TestCanonicalization:
     )
     def test_outcome_affecting_knobs_change_the_hash(self, overrides):
         base = CampaignSpec(scheme="secded")
-        assert clone_spec(base, **overrides).spec_hash() != base.spec_hash()
+        changed = dataclasses.replace(base, **overrides)
+        assert changed.spec_hash() != base.spec_hash()
 
     def test_sampling_fields_flow_into_engine_config(self):
         spec = CampaignSpec(sampling="importance", target_ci_width=0.02)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import StoreError
 from repro.reliability.results import ReliabilityResult
-from repro.service.jobs import CampaignSpec, clone_spec
+from repro.service.jobs import CampaignSpec
 from repro.service.store import ResultStore
 from repro.telemetry.registry import MetricsRegistry
 

@@ -24,13 +24,11 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List
 
 from repro.cli import PERF_CONFIGS
-from repro.core.parity3dp import make_3dp
-from repro.faults.rates import FailureRates
 from repro.perf.llc import LRUCache
 from repro.perf.system import SystemSimulator
 from repro.reliability.experiments import fig14_experiment, fig18_experiment
-from repro.reliability.montecarlo import EngineConfig
-from repro.replay import ReplayCampaignRunner, ReplayConfig, ReplayEngine
+from repro.replay import ReplayCampaignRunner
+from repro.service.jobs import CampaignSpec
 from repro.stack.geometry import StackGeometry
 from repro.workloads.generator import rate_mode_traces
 
@@ -67,27 +65,23 @@ def llc_caches() -> Iterator[List[LRUCache]]:
         LRUCache.__init__ = original  # type: ignore[method-assign]
 
 
-def _replay_parts(geometry: StackGeometry, thermal: bool = False):
-    return (
-        geometry,
-        FailureRates.paper_baseline(tsv_device_fit=500.0),
-        make_3dp(geometry),
-        EngineConfig(tsv_swap_standby=4, use_dds=True),
-        ReplayConfig(workload="zipfian", cores=2, requests_per_core=64,
-                     thermal=thermal),
-    )
-
-
-def replay_campaign_runner(geometry: StackGeometry, thermal: bool = False,
-                           **kwargs: Any) -> ReplayCampaignRunner:
-    """The pinned replay campaign: Citadel, zipfian, 2 x 64 requests,
-    root seed 42, shards of 2 trials."""
-    return ReplayCampaignRunner(*_replay_parts(geometry, thermal),
-                                root_seed=42, shard_size=2, **kwargs)
-
-
 #: Trials of each pinned replay campaign (three shards).
 REPLAY_CAMPAIGN_TRIALS = 6
+
+
+def replay_campaign_runner(thermal: bool = False,
+                           **execution: Any) -> ReplayCampaignRunner:
+    """The pinned replay campaign on the baseline geometry: Citadel,
+    zipfian, 2 x 64 requests, root seed 42, shards of 2 trials.
+    ``execution`` takes :meth:`CampaignSpec.runner`'s keywords."""
+    spec = CampaignSpec(
+        mode="replay", scheme="citadel", tsv_fit=500.0, seed=42,
+        trials=REPLAY_CAMPAIGN_TRIALS, shard_size=2, workload="zipfian",
+        replay_cores=2, requests=64, thermal=thermal,
+    )
+    runner = spec.runner(**execution)
+    assert isinstance(runner, ReplayCampaignRunner)
+    return runner
 
 
 def perf_small(geometry: StackGeometry) -> Dict[str, Any]:
@@ -107,10 +101,10 @@ def perf_small(geometry: StackGeometry) -> Dict[str, Any]:
             for config_name, config in PERF_CONFIGS.items():
                 result = SystemSimulator(geometry, config).run(traces)
                 perf.setdefault(config_name, {})[name] = asdict(result)
-        engine = ReplayEngine(*_replay_parts(geometry))
+        engine = replay_campaign_runner().engine
         shard = engine.run_shard(7, 4, engine.build_workload(123)).to_dict()
         campaigns = {
-            key: replay_campaign_runner(geometry, thermal=thermal)
+            key: replay_campaign_runner(thermal=thermal)
             .run(REPLAY_CAMPAIGN_TRIALS).to_dict()
             for key, thermal in (("plain", False), ("thermal", True))
         }
